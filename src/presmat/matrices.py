@@ -1,9 +1,15 @@
 """Exact linear algebra over the polynomial ring.
 
-Determinants and rank use fraction-free (Bareiss) elimination, so every
-intermediate value stays a polynomial; pivots prefer the lowest-degree
-nonzero entry to limit swell. Pfaffians expand recursively along the
-first row, which is fine at the sizes that occur here.
+Determinants, rank and kernels use fraction-free (Bareiss) elimination, so
+every intermediate value stays a polynomial; pivots prefer the
+lowest-degree nonzero entry to limit swell. Elimination runs column by
+column, so its pivot columns are the lexicographically first full-rank
+column subset. A fraction-free Gauss-Jordan elimination of an (n-1) x n
+matrix yields all n of its signed maximal minors at once (its Cramer
+kernel vector), and the cofactor matrix of an n x n matrix is built from
+n of those, one per deleted row, instead of n^2 determinants. Pfaffians
+expand recursively along the first row, which is fine at the sizes that
+occur here.
 """
 
 from __future__ import annotations
@@ -88,9 +94,6 @@ class PolyMatrix:
         rows = [i for i in range(self.rows) if i != row]
         cols = [j for j in range(self.cols) if j != col]
         return self.submatrix(rows, cols)
-
-    def with_shifts(self, row_shifts, col_shifts) -> "PolyMatrix":
-        return PolyMatrix(self.ring, self.entries, row_shifts, col_shifts)
 
     def map_entries(self, f) -> "PolyMatrix":
         return PolyMatrix(self.ring,
@@ -241,31 +244,32 @@ def minor(M: PolyMatrix, rows, cols) -> Polynomial:
     return det(M.submatrix(rows, cols))
 
 
-def cofactor_matrix(M: PolyMatrix) -> PolyMatrix:
-    """C_ij = (-1)^(i+j) * minor deleting row i and column j."""
-    if not M.is_square():
-        raise ValueError("cofactor matrix of a non-square matrix")
-    n = M.rows
-    if n == 1:
-        return PolyMatrix(M.ring, [[M.ring.one()]])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = det(M.delete(row=i, col=j))
-            row.append(m if (i + j) % 2 == 0 else -m)
-        out.append(row)
-    return PolyMatrix(M.ring, out)
+def _eliminate(rows, ring: RingContext, jordan: bool):
+    """Column-ordered fraction-free elimination of a copy of rows.
 
+    Each column in turn takes as pivot its lowest-degree nonzero entry among
+    the rows not yet used, and is skipped when it has none, so the pivot
+    columns are the greedy (lexicographically first) full-rank column
+    subset. Every update divides exactly by the previous pivot. Without
+    jordan only the rows below a pivot are cleared. With jordan the rows
+    above it are cleared too (Gauss-Jordan): then every pivot column is,
+    implicitly, the last pivot times a unit vector, and each other column
+    holds, in row r, the determinant of the row-swapped pivot columns with
+    the r-th of them replaced by that column. Entries in pivot columns are
+    not written.
 
-def rank(M: PolyMatrix) -> int:
-    """Symbolic rank over the fraction field via fraction-free elimination."""
-    ring = M.ring
-    a = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
+    Returns (a, pivots, sign), where sign is -1 when the row swaps are odd.
+    """
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    zero = ring.zero()
     prev = ring.one()
-    r = 0
+    pivots, skipped = [], []
+    sign = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot_row = None
         best = None
         for i in range(r, nrows):
@@ -275,20 +279,82 @@ def rank(M: PolyMatrix) -> int:
                 if best is None or dr < best:
                     best, pivot_row = dr, i
         if pivot_row is None:
+            skipped.append(col)
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
         pk = a[r][col]
-        for i in range(r + 1, nrows):
+        cols = list(range(col + 1, ncols))
+        targets = range(r + 1, nrows)
+        if jordan:
+            cols = skipped + cols
+            targets = [i for i in range(nrows) if i != r]
+        for i in targets:
             aik = a[i][col]
-            for j in range(col + 1, ncols):
+            for j in cols:
                 num = pk * a[i][j] - aik * a[r][j]
-                a[i][j] = exact_div(num, prev) if num else ring.zero()
-            a[i][col] = ring.zero()
+                a[i][j] = exact_div(num, prev) if num else zero
         prev = pk
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(col)
+    return a, pivots, sign
+
+
+def pivot_columns(M: PolyMatrix) -> list:
+    """Pivot columns of a column-ordered elimination of M, in order.
+
+    Their number is the rank of M, and they are the lexicographically first
+    set of columns of full rank.
+    """
+    return _eliminate(M.entries, M.ring, jordan=False)[1]
+
+
+def rank(M: PolyMatrix) -> int:
+    """Symbolic rank over the fraction field via fraction-free elimination."""
+    return len(pivot_columns(M))
+
+
+def kernel_vector(N: PolyMatrix) -> list:
+    """v_k = (-1)^k * (maximal minor of N deleting column k), for (n-1) x n N.
+
+    N v = 0, and v is zero exactly when N has rank below n - 1. One
+    Gauss-Jordan elimination gives every component. Let B be the pivot
+    columns, q the other column and d the last pivot, which is det(B) times
+    the sign of the row swaps. The eliminated column q holds d * x, where
+    B x = N_q. So -d * x on the pivot columns and d at q span the kernel,
+    and v is that vector times (-1)^q and the sign of the row swaps.
+    """
+    n = N.cols
+    if N.rows != n - 1:
+        raise ValueError("kernel_vector needs an (n-1) x n matrix")
+    ring = N.ring
+    a, pivots, sign = _eliminate(N.entries, ring, jordan=True)
+    if len(pivots) < n - 1:
+        return [ring.zero()] * n
+    q = next(j for j in range(n) if j not in pivots)
+    v = [None] * n
+    v[q] = a[-1][pivots[-1]]
+    for r, p in enumerate(pivots):
+        v[p] = -a[r][q]
+    return v if sign * (-1) ** q == 1 else [-p for p in v]
+
+
+def cofactor_matrix(M: PolyMatrix) -> PolyMatrix:
+    """C_ij = (-1)^(i+j) * minor deleting row i and column j.
+
+    Row i is (-1)^i times the kernel vector of M with row i deleted, so the
+    matrix costs n eliminations rather than n^2 determinants.
+    """
+    if not M.is_square():
+        raise ValueError("cofactor matrix of a non-square matrix")
+    n = M.rows
+    if n == 1:
+        return PolyMatrix(M.ring, [[M.ring.one()]])
+    out = []
+    for i in range(n):
+        v = kernel_vector(M.delete(row=i))
+        out.append(v if i % 2 == 0 else [-p for p in v])
+    return PolyMatrix(M.ring, out)
 
 
 # -- pfaffians ---------------------------------------------------------------

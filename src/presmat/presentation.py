@@ -25,7 +25,15 @@ from .groebner import (
     quotient,
     syzygies,
 )
-from .matrices import PolyMatrix, check_graded, cofactor_matrix, det, minor, rank
+from .matrices import (
+    PolyMatrix,
+    check_graded,
+    cofactor_matrix,
+    kernel_vector,
+    minor,
+    pivot_columns,
+    rank,
+)
 from .ring import Polynomial, exact_div, gcd
 
 FAIL_RANK = "rank_not_n_minus_1"
@@ -68,38 +76,14 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _signed_row_minors(N: PolyMatrix):
-    """(-1)^i * (minor deleting row i), i counted from 0, for an n x (n-1) N."""
-    n = N.rows
-    rows = list(range(n))
-    cols = list(range(N.cols))
-    out = []
-    for i in range(n):
-        m = minor(N, [r for r in rows if r != i], cols)
-        out.append(m if i % 2 == 0 else -m)
-    return out
+def _annihilator(raw, M: PolyMatrix, column_subset) -> GammaVector:
+    """Normalize raw, a nonzero vector with raw * M = 0, and check it.
 
-
-def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
-    """Normalized generator of the row annihilator of M (rank must be n-1).
-
-    The defining submatrix is the lexicographically first full-rank choice
-    of n-1 columns; the result does not depend on it (up to the fixed
-    normalization), which the tests exercise over all subsets.
+    The gcd of the components is divided out and the first nonzero
+    component made monic; the result must annihilate all of M.
     """
-    n, m = M.rows, M.cols
-    if n > m + 1 or rank(M) != n - 1:
-        raise ValueError("gamma needs rank exactly rows - 1")
-    chosen = None
-    for subset in combinations(range(m), n - 1):
-        N = M.submatrix(range(n), subset)
-        if rank(N) == n - 1:
-            chosen = subset
-            break
-    if chosen is None:
-        raise AssertionError("rank n-1 guarantees a full-rank column subset")
-    raw = _signed_row_minors(M.submatrix(range(n), chosen))
-    common = M.ring.zero()
+    ring = M.ring
+    common = ring.zero()
     for p in raw:
         common = gcd(common, p)
     components = [exact_div(p, common) if not p.is_zero() else p for p in raw]
@@ -107,23 +91,41 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     scale = lead.lead_coeff()
     if scale != 1:
         components = [p * (1 / scale) for p in components]
-    # sanity: the vector annihilates all of M, not just the chosen submatrix
-    for j in range(m):
-        total = M.ring.zero()
-        for i in range(n):
+    for j in range(M.cols):
+        total = ring.zero()
+        for i in range(M.rows):
             total = total + components[i] * M.entry(i, j)
         if not total.is_zero():
             raise AssertionError("annihilator check failed; rank computation is off")
-    return GammaVector(components, M, chosen,
+    return GammaVector(components, M, column_subset,
                        "gcd removed; first nonzero component monic")
 
 
+def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
+    """Normalized generator of the row annihilator of M (rank must be n-1).
+
+    The defining submatrix is the lexicographically first full-rank choice
+    of n-1 columns, the pivot columns of one column-ordered elimination;
+    the result does not depend on it (up to the fixed normalization), which
+    the tests exercise over all subsets.
+    """
+    n = M.rows
+    chosen = pivot_columns(M)
+    if len(chosen) != n - 1:
+        raise ValueError("gamma needs rank exactly rows - 1")
+    raw = kernel_vector(M.submatrix(range(n), chosen).transpose())
+    return _annihilator(raw, M, chosen)
+
+
 class PresentationReport:
+    """Verdict of check_presentation; cofactors is the cofactor matrix C of
+    the tested matrix once its rank is known to be n-1, else None."""
+
     __slots__ = ("is_presentation", "gamma", "gamma_transpose", "cofactor_unit",
-                 "height_J", "is_minimal", "failure_reason")
+                 "height_J", "is_minimal", "failure_reason", "cofactors")
 
     def __init__(self, is_presentation, gamma, gamma_transpose, cofactor_unit,
-                 height_J, is_minimal, failure_reason):
+                 height_J, is_minimal, failure_reason, cofactors=None):
         self.is_presentation = is_presentation
         self.gamma = gamma
         self.gamma_transpose = gamma_transpose
@@ -131,6 +133,7 @@ class PresentationReport:
         self.height_J = height_J
         self.is_minimal = is_minimal
         self.failure_reason = failure_reason
+        self.cofactors = cofactors
 
     def __repr__(self):
         if self.is_presentation:
@@ -141,24 +144,35 @@ class PresentationReport:
 def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> PresentationReport:
     """Decide the presentation property for a square matrix.
 
-    Runs the rank test, factors the cofactor matrix as u * (g_i h_j) with
-    g, h the two normalized annihilators, requires u to be a nonzero
-    constant, and requires the ideal of the h components to have height at
+    Computes the cofactor matrix C once and reads the rest from it: the
+    rank test, the two normalized annihilators g and h (a column and a row
+    of C), and the factorization C = u * (g_i h_j). It requires u to be a
+    nonzero constant, and the ideal of the h components to have height at
     least 3. Failures are reported, never raised.
     """
     n = M.rows
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
     is_minimal = all(p.constant_term() == 0 for row in M.entries for p in row)
-    if rank(M) != n - 1:
+    # rank n-1 exactly when C is nonzero and det(M), expanded along row 0, is 0
+    C = cofactor_matrix(M)
+    nonzero_rows = [i for i in range(n) if any(C.entry(i, j) for j in range(n))]
+    det_M = sum((M.entry(0, j) * C.entry(0, j) for j in range(n)), M.ring.zero())
+    if not nonzero_rows or not det_M.is_zero():
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    g = gamma(M, budget=budget)
-    h = gamma(M.transpose(), budget=budget)
+    # the last nonzero column (row) of C is the one gamma's lexicographically
+    # first full-rank column subset leaves out, so g and h equal gamma(M) and
+    # gamma(M^T)
+    i0 = nonzero_rows[-1]
+    j0 = max(j for j in range(n) if any(C.entry(i, j) for i in nonzero_rows))
+    g = _annihilator([C.entry(i, j0) for i in range(n)], M,
+                     [j for j in range(n) if j != j0])
+    h = _annihilator(list(C.row(i0)), M.transpose(),
+                     [i for i in range(n) if i != i0])
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
-    C = cofactor_matrix(M)
     unit = None
     for i in range(n):
         for j in range(n):
@@ -168,7 +182,7 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
                     unit = exact_div(C.entry(i, j), prod)
                 except ValueError:
                     return PresentationReport(False, g, h, None, None,
-                                              is_minimal, FAIL_FACTOR)
+                                              is_minimal, FAIL_FACTOR, C)
                 break
         if unit is not None:
             break
@@ -178,17 +192,19 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
         for j in range(n):
             if C.entry(i, j) != unit * g[i] * h[j]:
                 return PresentationReport(False, g, h, None, None, is_minimal,
-                                          FAIL_FACTOR)
+                                          FAIL_FACTOR, C)
     if not unit.is_unit():
-        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT)
+        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT,
+                                  C)
     nonzero_h = [p for p in h if not p.is_zero()]
     if any(p.is_unit() for p in nonzero_h):
         hJ = float("inf")  # unit ideal, every depth bound holds
     else:
         hJ = height(IdealBasis(nonzero_h, ring=M.ring), budget=budget)
     if hJ < 3:
-        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT)
-    return PresentationReport(True, g, h, unit, hJ, is_minimal, None)
+        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT,
+                                  C)
+    return PresentationReport(True, g, h, unit, hJ, is_minimal, None, C)
 
 
 def column_module(M: PolyMatrix) -> ModuleBasis:
@@ -236,19 +252,25 @@ def _derive_shifts(M: PolyMatrix, g):
     return a, b
 
 
+def _gcd_is_unit(ring, polys) -> bool:
+    """True when the polynomials have unit gcd; stops as soon as it is."""
+    common = ring.zero()
+    for p in polys:
+        common = gcd(common, p)
+        if common.is_unit():
+            return True
+    return False
+
+
 def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
     """True when the minors of the given size have unit gcd (height >= 2).
 
     Over a factorial ring the ideal they generate has height at least 2
     exactly when no common factor survives; accumulate and stop early.
     """
-    common = M.ring.zero()
-    for rows in combinations(range(M.rows), size):
-        for cols in combinations(range(M.cols), size):
-            common = gcd(common, minor(M, rows, cols))
-            if common.is_unit():
-                return True
-    return common.is_unit()
+    return _gcd_is_unit(M.ring, (minor(M, rows, cols)
+                                 for rows in combinations(range(M.rows), size)
+                                 for cols in combinations(range(M.cols), size)))
 
 
 def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResolution:
@@ -265,7 +287,6 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     ring = M.ring
     g = list(report.gamma.components)
     h = list(report.gamma_transpose.components)
-    n = M.rows
     a, b = _derive_shifts(M, g)
     s = sum(b) - sum(a)
     phi1 = PolyMatrix(ring, [g], row_shifts=(0,), col_shifts=tuple(a))
@@ -279,8 +300,9 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     if not (phi1 @ phi2).is_zero() or not (phi2 @ phi3).is_zero():
         raise AssertionError("annihilator composites must vanish")
     # exactness, specialized: gcd(gamma) = 1 gives height(I_M) >= 2; the
-    # submaximal minors need unit gcd; the row ideal height comes from the report
-    if not _minor_gcd_is_unit(phi2, n - 1):
+    # submaximal minors, the entries of C up to sign, need unit gcd; the row
+    # ideal height comes from the report
+    if not _gcd_is_unit(ring, (p for row in report.cofactors.entries for p in row)):
         raise ValueError("submaximal minors share a factor; chain not exact")
     minimal = all(p.constant_term() == 0
                   for mat in (phi1, phi2, phi3) for row in mat.entries for p in row)

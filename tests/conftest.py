@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite: seeded random polynomial generators."""
+"""Shared helpers for the test suite: seeded random polynomial generators,
+the determinant oracle and the paper's uniform sweep matrices."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from presmat.ring import Polynomial, RingContext
 
@@ -62,3 +65,11 @@ def oracle_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+@pytest.fixture(scope="session")
+def sweep_matrices():
+    """homogeneous_matrix for each of the paper's 27 uniform cases, built once."""
+    from presmat import homogeneous_matrix
+    from test_acceptance import _uniform_construction_cases
+    return [homogeneous_matrix(n, a, b) for n, a, b in _uniform_construction_cases()]

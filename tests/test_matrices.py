@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from presmat.matrices import (
     minor,
     pfaffian,
     pfaffians,
+    pivot_columns,
     rank,
 )
 from presmat.ring import RingContext, exact_div
@@ -233,6 +235,72 @@ def test_cofactor_identity():
             for i in range(n):
                 for j in range(n):
                     assert prod.entry(i, j) == (d if i == j else ring.zero())
+
+
+def linear_matrix(rng, ring, n, m):
+    return PolyMatrix(ring, [[random_form(rng, ring, 1, max_terms=2)
+                              for _ in range(m)] for _ in range(n)])
+
+
+def cofactor_oracle(M):
+    """C_ij as one Bareiss determinant per entry: the definition itself."""
+    n = M.rows
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            m = det(M.delete(row=i, col=j))
+            row.append(m if (i + j) % 2 == 0 else -m)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("deficiency", [0, 1, 2])
+def test_cofactor_matrix_matches_determinant_oracle(deficiency):
+    # linear forms times a constant matrix of inner size n - deficiency:
+    # full rank, rank n-1, and rank <= n-2, where every cofactor vanishes
+    rng = random.Random(3100 + deficiency)
+    ring = RingContext(["x", "y", "z"])
+    exact = 0
+    for _ in range(40):
+        n = rng.randint(max(2, deficiency + 1), 5)
+        r = n - deficiency
+        M = linear_matrix(rng, ring, n, r)
+        if deficiency:
+            M = M @ PolyMatrix(ring, [[ring.constant(rng.randint(-2, 2))
+                                       for _ in range(n)] for _ in range(r)])
+        C = cofactor_matrix(M)
+        assert C.entries == cofactor_oracle(M)
+        assert C.is_zero() == (rank(M) <= n - 2)
+        exact += rank(M) == r
+    # random factors may lose rank by chance; nearly all keep it
+    assert exact >= 36
+
+
+def test_cofactor_matrix_matches_determinant_oracle_on_sweep(sweep_matrices):
+    assert len(sweep_matrices) == 27
+    for M in sweep_matrices:
+        assert cofactor_matrix(M).entries == cofactor_oracle(M)
+
+
+def test_pivot_columns_are_first_full_rank_subset():
+    # greedy pivots equal the lexicographically first full-rank column choice
+    rng = random.Random(3200)
+    ring = RingContext(["x", "y"])
+    for _ in range(80):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        cols = [[random_poly(rng, ring, max_terms=2, max_deg=1) for _ in range(n)]
+                for _ in range(m)]
+        for j in range(1, m):
+            if rng.random() < 0.4:  # plant a column depending on earlier ones
+                c = rng.randrange(j)
+                cols[j] = [2 * p for p in cols[c]]
+        M = PolyMatrix(ring, [[cols[j][i] for j in range(m)] for i in range(n)])
+        r = rank(M)
+        first = () if r == 0 else next(
+            s for s in combinations(range(m), r)
+            if rank(M.submatrix(range(n), s)) == r)
+        assert tuple(pivot_columns(M)) == first
 
 
 def test_rank_transpose_symmetry():

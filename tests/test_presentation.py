@@ -573,6 +573,78 @@ def test_property_zero_component_matches_column_rank():
                 assert rank(dropped) == n - 1
 
 
+def sparse_dependency(rng, n):
+    """Graded n x n matrix of rank n-1: n-1 columns of linear forms and one
+    constant combination of some of them, maybe transposed.
+
+    Columns outside the combination leave zero columns in the cofactor
+    matrix, so the annihilators' column subsets vary.
+    """
+    while True:
+        cols = [[random_form(rng, XYZ, 1, max_terms=2) for _ in range(n)]
+                for _ in range(n - 1)]
+        coeffs = [rng.choice([0, 0, 1, -1, 2]) for _ in range(n - 1)]
+        if not any(coeffs):
+            continue
+        dep = [sum((c * col[i] for c, col in zip(coeffs, cols)), XYZ.zero())
+               for i in range(n)]
+        cols.insert(rng.randrange(n), dep)
+        M = PolyMatrix(XYZ, [[cols[j][i] for j in range(n)] for i in range(n)])
+        if rng.random() < 0.5:
+            M = M.transpose()
+        if rank(M) == n - 1:
+            return M
+
+
+def assert_report_matches_gamma(M):
+    rep = check_presentation(M)
+    assert rep.failure_reason != FAIL_RANK
+    for got, want in ((rep.gamma, gamma(M)),
+                      (rep.gamma_transpose, gamma(M.transpose()))):
+        assert got.components == want.components
+        assert got.column_subset == want.column_subset
+
+
+def test_report_annihilators_match_gamma():
+    # check_presentation reads g and h off its cofactor matrix; gamma runs
+    # its own elimination; the two derivations must agree exactly
+    rng = random.Random(17)
+    subsets = set()
+    for _ in range(60):
+        M = sparse_dependency(rng, rng.randint(2, 5))
+        assert_report_matches_gamma(M)
+        subsets.add(gamma(M).column_subset)
+    assert any(s != tuple(range(len(s))) for s in subsets)
+
+
+def test_report_annihilators_match_gamma_on_sweep(sweep_matrices):
+    for M in sweep_matrices:
+        assert_report_matches_gamma(M)
+
+
+def test_rank_test_rejects_full_and_low_rank():
+    rng = random.Random(18)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        full = PolyMatrix(XYZ, [[random_form(rng, XYZ, 1, max_terms=2)
+                                 for _ in range(n)] for _ in range(n)])
+        # rank <= n-2: n-2 columns of linear forms times constants
+        low = PolyMatrix(XYZ, [[XYZ.zero()] * n] * n)
+        if n > 2:
+            low = PolyMatrix(XYZ, [[random_form(rng, XYZ, 1, max_terms=2)
+                                    for _ in range(n - 2)] for _ in range(n)]) \
+                @ PolyMatrix(XYZ, [[XYZ.constant(rng.randint(-2, 2))
+                                    for _ in range(n)] for _ in range(n - 2)])
+        assert rank(low) <= n - 2
+        for M in (full, low):
+            if M is full and rank(M) != n:
+                continue
+            rep = check_presentation(M)
+            assert not rep.is_presentation
+            assert rep.failure_reason == FAIL_RANK
+            assert rep.gamma is None and rep.cofactors is None
+
+
 def test_property_resolutions_verify():
     # random scaled Koszul presentations: build and verify 200 resolutions
     rng = random.Random(15)
