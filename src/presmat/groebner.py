@@ -9,7 +9,10 @@ polynomials are the rank-1 case. The module order is position-over-term
 Gebauer-Moller pair criteria and sugar-degree selection; the coprime-lead
 shortcut applies only in rank 1, where it is valid. Representations of
 basis elements in terms of the input generators are tracked on demand,
-which yields membership cofactors and Schreyer-style syzygies.
+which yields membership cofactors and Schreyer-style syzygies; the syzygies
+lift only the pairs that survive the Gebauer-Moller criteria. Minimal
+generators of ideals and graded modules come from one incremental Buchberger
+per call, truncated at the degree of the candidate under test.
 """
 
 from __future__ import annotations
@@ -315,6 +318,16 @@ def _spair_parts(basis: _Basis, i: int, j: int):
     return lcm, _mono_sub(lcm, mi), _mono_sub(lcm, mj), ci, cj
 
 
+def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock | None):
+    """S-vector of elements i and j, with the multipliers x^ui, x^uj and the
+    lead coefficients ci, cj it was built from."""
+    _lcm, ui, uj, ci, cj = _spair_parts(basis, i, j)
+    s: dict = {}
+    _axpy(s, Fraction(1) / ci, ui, basis.elems[i], clock)
+    _axpy(s, Fraction(-1) / cj, uj, basis.elems[j], clock)
+    return s, ui, uj, ci, cj
+
+
 def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     """Gebauer-Moller update of the pair set for new element t."""
     (tpos, tm), _ = basis.leads[t]
@@ -384,10 +397,7 @@ def _buchberger(vectors, ring: RingContext, clock: _Clock | None,
     while P:
         i, j = min(P, key=pair_rank)
         P.discard((i, j))
-        lcm, ui, uj, ci, cj = _spair_parts(basis, i, j)
-        s: dict = {}
-        _axpy(s, Fraction(1) / ci, ui, basis.elems[i], clock)
-        _axpy(s, Fraction(-1) / cj, uj, basis.elems[j], clock)
+        s, ui, uj, ci, cj = _s_vector(basis, i, j, clock)
         sugar0 = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
         r, quots, sugar = basis.nf(s, clock, sugar=sugar0)
         if not r:
@@ -691,22 +701,58 @@ def ideal_equal(A: IdealBasis, B: IdealBasis, budget: Budget | None = None) -> b
     return ideal_contains(A, B, budget=budget) and ideal_contains(B, A, budget=budget)
 
 
+def _prune(candidates, grading, ring: RingContext, clock: _Clock) -> list:
+    """Positions in candidates of a minimal generating subset, kept greedily.
+
+    candidates are nonzero homogeneous dict vectors as (degree, vector)
+    pairs in ascending (degree, input index) order, where the degree of a
+    term (pos, m) is sum(m) + grading[pos]. One incremental Buchberger runs
+    for the whole call. Before a candidate of degree d is tested, the basis
+    of the kept candidates is completed through degree d, using only the
+    pairs of degree at most d; for homogeneous input that truncated basis
+    decides membership in degree d. A candidate is kept when its normal
+    form is nonzero, and that normal form joins the basis.
+    """
+    basis = _Basis(ring, False)
+    scalar = all(pos == 0 for _d, v in candidates for (pos, _m) in v)
+    P: set = set()
+    pkey = basis.key
+
+    def pair_rank(pair):
+        i, j = pair
+        (pos, mi), _ = basis.leads[i]
+        lcm = _mono_lcm(mi, basis.leads[j][0][1])
+        return (sum(lcm) + grading[pos], pkey((pos, lcm)), j, i)
+
+    kept = []
+    for k, (d, v) in enumerate(candidates):
+        while P:
+            rank = min(map(pair_rank, P))
+            if rank[0] > d:
+                break
+            j, i = rank[2:]
+            P.discard((i, j))
+            r, _q, _s = basis.nf(_s_vector(basis, i, j, clock)[0], clock)
+            if r:
+                t = basis.append(r, rank[0], None)
+                P = _update_pairs(P, basis, t, scalar)
+        r, _q, _s = basis.nf(v, clock)
+        if r:
+            kept.append(k)
+            t = basis.append(r, d, None)
+            P = _update_pairs(P, basis, t, scalar)
+    return kept
+
+
 def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasis:
     """Degree-ascending prune to a minimal homogeneous generating set."""
     _require_homogeneous(I)
     candidates = sorted((g for g in I.generators if not g.is_zero()),
                         key=lambda g: g.degree())
-    kept: list = []
-    kept_basis = None
-    for g in candidates:
-        if kept_basis is not None:
-            r, _q, _s = kept_basis.nf(_poly_to_vec(g), None)
-            if not r:
-                continue
-        kept.append(g)
-        clock = _Clock(budget or DEFAULT_BUDGET, "minimal generators")
-        kept_basis = _buchberger([_poly_to_vec(p) for p in kept], I.ring, clock)
-    return IdealBasis(kept, ring=I.ring)
+    clock = _Clock(budget or DEFAULT_BUDGET, "minimal generators")
+    kept = _prune([(g.degree(), _poly_to_vec(g)) for g in candidates], (0,),
+                  I.ring, clock)
+    return IdealBasis([candidates[k] for k in kept], ring=I.ring)
 
 
 # -- module operations --------------------------------------------------------
@@ -751,10 +797,13 @@ def vector_degree(vector, shifts):
 def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     """Generating set of the first syzygy module of the ordered generators.
 
-    Schreyer-style: reduce every same-position S-pair of the reduced basis
-    to zero and read off the relation; push relations through the tracked
-    representations, and add the rows of (Id - B*A) that witness how each
-    input reduces to the basis. Zero rows are dropped.
+    Schreyer-style: replay the Gebauer-Moller pair update over the tracked
+    reduced basis, with the coprime shortcut off, and reduce each surviving
+    S-pair to zero to read off its relation. The surviving pairs generate
+    the syzygies of the lead terms, so by Schreyer's theorem their lifts
+    generate the syzygies of the basis. Push the relations through the
+    tracked representations, and add the rows of (Id - B*A) that witness
+    how each input reduces to the basis. Zero rows are dropped.
     """
     if isinstance(F, IdealBasis):
         ring = F.ring
@@ -781,29 +830,23 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
     key = tracked.key
     syz_vecs = []
-    t = len(tracked.elems)
+    pairs: set = set()
+    for k in range(len(tracked.elems)):
+        pairs = _update_pairs(pairs, tracked, k, scalar=False)
     # relations among the basis elements, composed down to the inputs
-    for i in range(t):
-        (ipos, _), _ = tracked.leads[i]
-        for j in range(i + 1, t):
-            (jpos, _), _ = tracked.leads[j]
-            if ipos != jpos:
-                continue
-            lcm, ui, uj, ci, cj = _spair_parts(tracked, i, j)
-            s: dict = {}
-            _axpy(s, Fraction(1) / ci, ui, tracked.elems[i], clock)
-            _axpy(s, Fraction(-1) / cj, uj, tracked.elems[j], clock)
-            r, quots, _ = tracked.nf(s, clock)
-            if r:
-                raise RuntimeError("S-pair of a Groebner basis did not vanish")
-            rel: dict = {}
-            _axpy(rel, Fraction(1) / ci, ui, tracked.reps[i], None)
-            _axpy(rel, Fraction(-1) / cj, uj, tracked.reps[j], None)
-            for idx, q in quots.items():
-                for shift, c in q.items():
-                    _axpy(rel, -c, shift, tracked.reps[idx], None)
-            if rel:
-                syz_vecs.append(rel)
+    for i, j in sorted(pairs):
+        s, ui, uj, ci, cj = _s_vector(tracked, i, j, clock)
+        r, quots, _ = tracked.nf(s, clock)
+        if r:
+            raise RuntimeError("S-pair of a Groebner basis did not vanish")
+        rel: dict = {}
+        _axpy(rel, Fraction(1) / ci, ui, tracked.reps[i], None)
+        _axpy(rel, Fraction(-1) / cj, uj, tracked.reps[j], None)
+        for idx, q in quots.items():
+            for shift, c in q.items():
+                _axpy(rel, -c, shift, tracked.reps[idx], None)
+        if rel:
+            syz_vecs.append(rel)
     # rows of (Id - B*A): how each input reduces over the basis
     vec_inputs = _vecs_from_columns(inputs, ring)
     for i, v in enumerate(vec_inputs):
@@ -842,22 +885,12 @@ def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> M
     degs = [vector_degree(v, M.grading) for v in M.generators]
     order = sorted((i for i, d in enumerate(degs) if d is not None),
                    key=lambda i: (degs[i], i))
-    kept = []
-    kept_basis = None
-    for i in order:
-        v = M.generators[i]
-        if kept_basis is not None:
-            vec = {}
-            for pos, comp in enumerate(v):
-                for m, c in comp.terms.items():
-                    vec[(pos, m)] = c
-            r, _q, _s = kept_basis.nf(vec, None)
-            if not r:
-                continue
-        kept.append(v)
-        clock = _Clock(budget or DEFAULT_BUDGET, "minimal module generators")
-        kept_basis = _buchberger(_vecs_from_columns(kept, M.ring), M.ring, clock)
-    return ModuleBasis(M.ambient_rank, kept, ring=M.ring, grading=M.grading)
+    vecs = _vecs_from_columns([M.generators[i] for i in order], M.ring)
+    clock = _Clock(budget or DEFAULT_BUDGET, "minimal module generators")
+    kept = _prune([(degs[i], v) for i, v in zip(order, vecs)], M.grading,
+                  M.ring, clock)
+    return ModuleBasis(M.ambient_rank, [M.generators[order[k]] for k in kept],
+                       ring=M.ring, grading=M.grading)
 
 
 # -- resolutions --------------------------------------------------------------
@@ -868,9 +901,12 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
 
     Built by iterated syzygies with minimal-generator pruning at every
     step, so each map already has entries in the maximal ideal; a final
-    minimalize pass is run anyway as a guard. The result is exact at every
-    computed module except possibly the leftmost one when the loop stops
-    at max_length; rerun with a larger bound to certify the tail.
+    minimalize pass is run anyway as a guard. The shifts are the graded
+    Betti numbers and do not depend on the generators chosen; the maps are
+    one valid choice, fixed by the Gebauer-Moller pairs of each syzygy step
+    and the greedy prune. The result is exact at every computed module
+    except possibly the leftmost one when the loop stops at max_length;
+    rerun with a larger bound to certify the tail.
     """
     _require_homogeneous(I)
     ring = I.ring

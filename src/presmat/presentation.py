@@ -16,6 +16,7 @@ from .groebner import (
     GradedResolution,
     IdealBasis,
     ModuleBasis,
+    UnitIdealError,
     height,
     ideal_equal,
     intersect,
@@ -141,6 +142,17 @@ class PresentationReport:
         return "PresentationReport(not a presentation: %s)" % self.failure_reason
 
 
+def _height_or_inf(gens, ring, budget: Budget | None):
+    """Height of the ideal the nonzero gens generate; inf for the unit
+    ideal, where every depth bound holds."""
+    if any(p.is_unit() for p in gens):
+        return float("inf")
+    try:
+        return height(IdealBasis(gens, ring=ring), budget=budget)
+    except UnitIdealError:
+        return float("inf")
+
+
 def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> PresentationReport:
     """Decide the presentation property for a square matrix.
 
@@ -196,11 +208,7 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     if not unit.is_unit():
         return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT,
                                   C)
-    nonzero_h = [p for p in h if not p.is_zero()]
-    if any(p.is_unit() for p in nonzero_h):
-        hJ = float("inf")  # unit ideal, every depth bound holds
-    else:
-        hJ = height(IdealBasis(nonzero_h, ring=M.ring), budget=budget)
+    hJ = _height_or_inf([p for p in h if not p.is_zero()], M.ring, budget)
     if hJ < 3:
         return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT,
                                   C)
@@ -363,11 +371,8 @@ def verify_exactness(res: GradedResolution, budget: Budget | None = None) -> Exa
             if not gens:
                 ok = False
                 ht = 0
-            elif any(p.is_unit() for p in gens):
-                ok = True
-                ht = float("inf")
             else:
-                ht = height(IdealBasis(gens, ring=m.ring), budget=budget)
+                ht = _height_or_inf(gens, m.ring, budget)
                 ok = ht >= depth_needed
             detail = "height %s needs >= %d" % (ht, depth_needed)
         stages.append(("height at map %d" % (k + 1), ok, detail))

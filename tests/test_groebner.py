@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from presmat import (
     IdealBasis,
     ModuleBasis,
     PolyMatrix,
+    Polynomial,
     RingContext,
     UnitIdealError,
     dimension,
@@ -28,13 +30,17 @@ from presmat import (
     minimal_free_resolution,
     minimal_generators,
     minimalize,
+    module_contains,
     module_member,
     normal_form,
     parse,
     quotient,
     syzygies,
     vector_degree,
+    verify_exactness,
 )
+from presmat import groebner as engine
+from presmat.groebner import module_minimal_generators
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -307,6 +313,82 @@ def test_syzygies_of_redundant_generators():
     assert module_member((XYZ.one(), XYZ.zero(), -XYZ.one()), S)
 
 
+def all_pairs_syzygies(F):
+    """Reference syzygies: lift every same-position S-pair of the tracked
+    basis, with no pair criteria, plus the rows of (Id - B*A)."""
+    if isinstance(F, IdealBasis):
+        inputs = [(g,) for g in F.generators]
+        tracked = engine._gb(IdealBasis(F.generators, ring=F.ring), track=True)
+    else:
+        inputs = list(F.generators)
+        tracked = engine._module_gb(
+            ModuleBasis(F.ambient_rank, F.generators, ring=F.ring), track=True)
+    ring, n = F.ring, len(inputs)
+    rels = []
+    for i in range(len(tracked.elems)):
+        for j in range(i + 1, len(tracked.elems)):
+            if tracked.leads[i][0][0] != tracked.leads[j][0][0]:
+                continue
+            _lcm, ui, uj, ci, cj = engine._spair_parts(tracked, i, j)
+            s = {}
+            engine._axpy(s, 1 / ci, ui, tracked.elems[i], None)
+            engine._axpy(s, -1 / cj, uj, tracked.elems[j], None)
+            r, quots, _ = tracked.nf(s, None)
+            assert not r
+            rel = {}
+            engine._axpy(rel, 1 / ci, ui, tracked.reps[i], None)
+            engine._axpy(rel, -1 / cj, uj, tracked.reps[j], None)
+            for idx, q in quots.items():
+                for shift, c in q.items():
+                    engine._axpy(rel, -c, shift, tracked.reps[idx], None)
+            rels.append(rel)
+    for i, v in enumerate(engine._vecs_from_columns(inputs, ring)):
+        r, quots, _ = tracked.nf(v, None)
+        assert not r
+        rel = {(i, (0,) * ring.nvars): Fraction(1)}
+        for idx, q in quots.items():
+            for shift, c in q.items():
+                engine._axpy(rel, -c, shift, tracked.reps[idx], None)
+        rels.append(rel)
+    cols = [engine._vec_to_polys(rel, n, ring) for rel in rels if rel]
+    return ModuleBasis(n, cols, ring=ring)
+
+
+def random_vector_module(rng, ring, rank, count):
+    vecs = []
+    for _ in range(count):
+        degree = rng.randint(1, 2)
+        vecs.append(tuple(random_form(rng, ring, degree, max_terms=2)
+                          if rng.random() < 0.7 else ring.zero()
+                          for _ in range(rank)))
+    return ModuleBasis(rank, vecs, ring=ring)
+
+
+def test_pruned_syzygies_generate_the_all_pairs_module():
+    rng = random.Random(71)
+    cases = []
+    for _ in range(6):
+        gens = [random_form(rng, XYZ, rng.choice((2, 2, 3)), max_terms=4)
+                for _ in range(rng.randint(3, 4))]
+        I = IdealBasis(gens, ring=XYZ)
+        cases.append(I)
+        cases.append(syzygies(I))  # a module with one position per generator
+    for _ in range(4):
+        gens = [random_poly(rng, XYZ, max_terms=2, max_deg=2) for _ in range(3)]
+        cases.append(IdealBasis(gens, ring=XYZ))
+        cases.append(random_vector_module(rng, XYZ, rng.randint(2, 3), 3))
+    for F in cases:
+        S = syzygies(F)
+        ref = all_pairs_syzygies(F)
+        assert module_contains(S, ref)
+        assert module_contains(ref, S)
+        columns = [(g,) for g in F.generators] if isinstance(F, IdealBasis) \
+            else list(F.generators)
+        for v in S.generators:
+            for pos in range(len(columns[0])):
+                assert combine(v, [col[pos] for col in columns], XYZ).is_zero()
+
+
 # -- minimal generators ---------------------------------------------------------
 
 
@@ -328,6 +410,69 @@ def test_minimal_generators_across_degrees():
 def test_minimal_generators_requires_homogeneous():
     with pytest.raises(ValueError):
         minimal_generators(ideal(XYZ, "x^2 + y"))
+
+
+def restart_prune_ideal(I):
+    """Reference prune: test each candidate against a Groebner basis of the
+    generators kept so far, computed from scratch every time."""
+    kept = []
+    for g in sorted((g for g in I.generators if not g.is_zero()),
+                    key=lambda g: g.degree()):
+        if not kept or not member(g, IdealBasis(kept, ring=I.ring)):
+            kept.append(g)
+    return kept
+
+
+def restart_prune_module(M):
+    degs = [vector_degree(v, M.grading) for v in M.generators]
+    kept = []
+    for i in sorted((i for i, d in enumerate(degs) if d is not None),
+                    key=lambda i: (degs[i], i)):
+        v = M.generators[i]
+        if not kept or not module_member(v, ModuleBasis(M.ambient_rank, kept,
+                                                        ring=M.ring)):
+            kept.append(v)
+    return kept
+
+
+def padded_generators(rng, ring, gens, degree, times):
+    """gens plus a redundant combination c*ga + gb, a duplicate and a zero
+    (None), shuffled; degree(g) is the graded degree of g and
+    times(c, ga, gb) forms the combination."""
+    gens = list(gens)
+    a, b = rng.sample(range(len(gens)), 2)
+    if degree(gens[a]) > degree(gens[b]):
+        a, b = b, a
+    lift = random_form(rng, ring, degree(gens[b]) - degree(gens[a]), max_terms=2)
+    gens.append(times(lift, gens[a], gens[b]))
+    gens.append(gens[rng.randrange(len(gens))])
+    gens.append(None)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_minimal_generators_match_the_restart_prune():
+    rng = random.Random(83)
+    for trial in range(8):
+        ring = XYZ if trial % 2 else XYZT
+        forms = [random_form(rng, ring, rng.choice((1, 2, 2, 3)), max_terms=4)
+                 for _ in range(rng.randint(3, 5))]
+        gens = padded_generators(rng, ring, forms, lambda g: g.degree(),
+                                 lambda c, ga, gb: c * ga + gb)
+        I = IdealBasis([ring.zero() if g is None else g for g in gens], ring=ring)
+        assert list(minimal_generators(I).generators) == restart_prune_ideal(I)
+
+        # the syzygy module, graded by the (mixed) generator degrees
+        J = IdealBasis(forms, ring=ring)
+        S = syzygies(J)
+        grading = tuple(g.degree() for g in forms)
+        zero = tuple(ring.zero() for _ in forms)
+        vecs = padded_generators(
+            rng, ring, S.generators, lambda v: vector_degree(v, grading),
+            lambda c, va, vb: tuple(c * p + q for p, q in zip(va, vb)))
+        M = ModuleBasis(len(forms), [zero if v is None else v for v in vecs],
+                        ring=ring, grading=grading)
+        assert list(module_minimal_generators(M).generators) == restart_prune_module(M)
 
 
 # -- resolutions -----------------------------------------------------------------
@@ -391,6 +536,55 @@ def test_resolution_exactness_via_hilbert():
 
     for d in range(8):
         assert rank_contrib(d) == hilbert_function(I, d)
+
+
+# three-variable shapes of the benchmark's ideal corpus; (3, 3, 3) and
+# (3, 3, 3, 3) are left out because verify_exactness takes seconds to minutes
+# on them
+SELF_CERT_SHAPES = ((2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 3, 3))
+# shifts computed with all-pairs syzygies and the restart prune (the two
+# references above); graded Betti numbers do not depend on the algorithm
+SELF_CERT_SHIFTS = {
+    0: ((2, 2, 2), (4, 4, 4), (6,)),
+    1: ((2, 2, 2, 2), (3, 3, 4, 4, 4), (5, 5)),
+    2: ((2, 2, 2, 2, 2), (3, 3, 3, 3, 3), (5,)),
+    3: ((2, 2, 3), (4, 5, 5), (7,)),
+    4: ((2, 3, 3), (5, 5, 6), (8,)),
+    5: ((2, 2, 2), (4, 4, 4), (6,)),
+    6: ((2, 2, 2, 2), (3, 3, 4, 4, 4), (5, 5)),
+    7: ((2, 2, 2, 2, 2), (3, 3, 3, 3, 3), (5,)),
+}
+
+
+def dense_ideal(seed, ring):
+    """Forms with every monomial of their degree, coefficients in +-1..+-3."""
+    rng = random.Random(seed)
+    gens = []
+    for degree in SELF_CERT_SHAPES[seed % len(SELF_CERT_SHAPES)]:
+        monos = [tuple(c.count(v) for v in range(ring.nvars))
+                 for c in combinations_with_replacement(range(ring.nvars), degree)]
+        gens.append(Polynomial(ring, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                                      for m in monos}))
+    return IdealBasis(gens, ring=ring)
+
+
+@pytest.mark.parametrize("seed", sorted(SELF_CERT_SHIFTS))
+def test_resolution_certifies_itself(seed):
+    I = dense_ideal(seed, XYZ)
+    res = minimal_free_resolution(I, max_length=3)
+    assert res.shifts == SELF_CERT_SHIFTS[seed]
+    r = XYZ.nvars
+
+    def free(d):  # dim_k R_d
+        return comb(d + r - 1, r - 1) if d >= 0 else 0
+
+    for d in range(max(max(s) for s in res.shifts) + 3):
+        from_betti = free(d) + sum((-1) ** (k + 1) * free(d - s)
+                                   for k, shifts in enumerate(res.shifts)
+                                   for s in shifts)
+        assert from_betti == hilbert_function(I, d)
+    report = verify_exactness(res)
+    assert report.exact, report
 
 
 def test_resolution_rejects_inhomogeneous_and_unit():

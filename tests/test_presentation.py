@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_form, random_poly
 from presmat import (
+    GradedResolution,
     IdealBasis,
     PolyMatrix,
     RingContext,
@@ -181,6 +182,21 @@ def test_check_extended_column_passes_but_not_minimal():
     assert sorted(texts(rep.gamma_transpose)) == ["-1", "1", "1"]
 
 
+def test_check_reports_row_ideal_that_is_the_unit_ideal():
+    # the entries of h generate the unit ideal although none of them is a
+    # unit; the height test counts that as infinite height, never raises
+    M = PolyMatrix.from_text(XYZ, [
+        ["0", "-3", "1/2*z - 1"],
+        ["3*y", "0", "-2*y - 3"],
+        ["-9*y*z", "-9/2", "6*y*z + 39/4*z - 3/2"],
+    ])
+    rep = check_presentation(M)
+    assert not any(p.is_unit() for p in rep.gamma_transpose)
+    assert rep.height_J == float("inf")
+    assert rep.is_presentation
+    assert rep.failure_reason is None
+
+
 def test_check_rejects_nonsquare_and_tiny():
     with pytest.raises(ValueError):
         check_presentation(PolyMatrix.from_text(XYZ, [["x", "y"]]))
@@ -254,6 +270,20 @@ def test_verify_exactness_needs_a_complex():
                        res.shifts, res.minimal)
     with pytest.raises(ValueError):
         verify_exactness(broken)
+
+
+def test_verify_exactness_counts_unit_minor_ideal_as_infinite_height():
+    # Koszul complex on (y, y + 1, z): the entries of the last map generate
+    # the unit ideal, and none of them is a unit
+    f = [parse(s, XYZ) for s in ("y", "y + 1", "z")]
+    d1 = PolyMatrix(XYZ, [f])
+    d2 = koszul(XYZ, *f)
+    d3 = PolyMatrix(XYZ, [[p] for p in f])
+    res = GradedResolution(XYZ, [d1, d2, d3], [(1, 1, 1), (2, 2, 2), (3,)],
+                           minimal=False)
+    report = verify_exactness(res)
+    assert report.exact, report
+    assert report.stages[-1][2] == "height inf needs >= 3"
 
 
 # -- zeta ------------------------------------------------------------------------
