@@ -8,13 +8,15 @@ Every invocation prints a single report object with the fields
 3  undecided (Unknown classification)
 
 Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
-variable, which beats the library default of 60 seconds per internal
-Groebner step.
+variable, which beats the library default of 60 seconds. Each internal
+Groebner step gets the budget, except in minimal free resolutions, whose
+steps get the seconds that remain of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -646,13 +648,17 @@ def _cmd_verify_paper_example(args, budget, timings):
 # -- dispatch ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every call to main can share it."""
     top = argparse.ArgumentParser(
         prog="presmat",
         description="presentation matrices, graded resolutions, and Betti "
                     "sequence classification")
     top.add_argument("--budget-seconds", type=float, default=None,
-                     help="cap each internal Groebner step (overrides %s)"
+                     help="seconds for each internal Groebner step, or for "
+                          "a whole minimal resolution (overrides %s)"
                           % BUDGET_ENV)
     top.add_argument("--format", choices=("json", "text"), default="json",
                      help="report format (default json)")

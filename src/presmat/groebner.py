@@ -2,10 +2,16 @@
 height, Hilbert functions, intersection/quotient, module bases, syzygies,
 and minimal graded free resolutions.
 
-One engine serves ideals and submodules of free modules. Internally an
-element is a dict mapping (position, exponent tuple) to a Fraction; scalar
+One engine serves ideals and submodules of free modules; scalar
 polynomials are the rank-1 case. The module order is position-over-term
-(e_0 > e_1 > ...) refined by the ring order. Buchberger runs with the
+(e_0 > e_1 > ...) refined by the ring order. Internally the engine is
+fraction-free: an element is a list of (key, pack, coefficient) terms with
+integer coefficients, where key and pack are integers linear in the
+exponents (see _Encoding), and basis elements are kept primitive. Normal
+forms reduce a heap of keys by r <- a*r - b*x^s*g and report the integer
+scale they applied. Inputs are cleared of denominators on the way in, and
+results are divided back on the way out, so callers see the same Fraction
+polynomials, monic where a reduced basis is returned. Buchberger runs with the
 Gebauer-Moller pair criteria and sugar-degree selection; the coprime-lead
 shortcut applies only in rank 1, where it is valid. Representations of
 basis elements in terms of the input generators are tracked on demand,
@@ -19,7 +25,11 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from math import comb, gcd, lcm
+from operator import add, sub
+from struct import Struct
 
 from .matrices import PolyMatrix, check_graded
 from .ring import Polynomial, RingContext, exact_div
@@ -34,7 +44,13 @@ class UnitIdealError(ValueError):
 
 
 class Budget:
-    """Caps for one Groebner/syzygy step: wall seconds and merged monomials."""
+    """Caps on a computation: wall seconds and merged monomials.
+
+    Each Groebner or syzygy step stops at either cap, its seconds counted
+    from the start of the step. minimal_free_resolution hands each of its
+    steps the seconds that remain of its budget, so the whole call stops
+    when they run out; each step keeps its own monomial cap.
+    """
 
     __slots__ = ("seconds", "max_monomials")
 
@@ -173,7 +189,72 @@ class GradedResolution:
         return f"GradedResolution({ranks}, minimal={self.minimal})"
 
 
-# -- engine: vectors as dicts {(pos, mono): Fraction} -------------------------
+# -- engine: term lists of (key, pack, int) -----------------------------------
+
+_FIELD = 32                      # bits per exponent: one uint32 word each
+_EXP_LIMIT = 1 << (_FIELD - 1)   # exponents must stay below this
+
+
+class _Encoding:
+    """Integer images of the terms (pos, m) of one ring, linear in m.
+
+    pack(pos, m) holds the exponents of m in _FIELD-bit fields, with pos
+    above them, so that x^a divides x^b (same position) exactly when
+    (pack(b) - pack(a)) & guard == 0, for exponents below _EXP_LIMIT.
+    key(pos, m) is an integer ordered as the module order orders terms:
+    position over term (e_0 > e_1 > ...), then the ring order, for
+    exponents below 2^_FIELD. Both are linear in m, key(pos, s + t) =
+    key(0, s) + key(pos, t) and likewise pack, so a shifted term costs two
+    integer additions (Bachmann-Schoenemann packed monomials).
+    """
+
+    __slots__ = ("ring", "nvars", "weights", "guard", "pos_key", "pos_bits",
+                 "low", "words")
+
+    def __init__(self, ring: RingContext):
+        n = ring.nvars
+        f = _FIELD
+        order = ring.order
+        if order == "grevlex":
+            # degree over (-e_{n-1}, ..., -e_0)
+            weights = [(1 << (f * n)) - (1 << (f * i)) for i in range(n)]
+        elif order == "lex":
+            weights = [1 << (f * (n - 1 - i)) for i in range(n)]
+        else:
+            # ("elim", k): lex on e[:k] over grevlex on e[k:]; the block
+            # fields sit above the grevlex degree, which may exceed f bits
+            k = order[1]
+            rest = n - k
+            top = f * (rest + 1) + n.bit_length()
+            weights = [1 << (top + f * (k - 1 - j)) for j in range(k)]
+            weights += [(1 << (f * rest)) - (1 << (f * (j - k)))
+                        for j in range(k, n)]
+        self.ring = ring
+        self.nvars = n
+        self.weights = tuple(weights)
+        self.guard = sum(1 << (f * i + f - 1) for i in range(n))
+        self.pos_key = 1 << (f * (n + 2))  # above every monomial key
+        self.pos_bits = f * n
+        self.low = (1 << self.pos_bits) - 1
+        self.words = Struct(f"<{n}I")
+
+    def term(self, pos: int, m) -> tuple:
+        """(key, pack) of the term m at position pos."""
+        key = pack = 0
+        shift = 0
+        for e, w in zip(m, self.weights):
+            if e >= _EXP_LIMIT:
+                raise BudgetExceeded("exponent beyond the Groebner engine's range")
+            key += e * w
+            pack += e << shift
+            shift += _FIELD
+        return key - pos * self.pos_key, pack + (pos << self.pos_bits)
+
+    def mono(self, pack: int) -> tuple:
+        """Exponent tuple of a packed monomial (the position is dropped)."""
+        words = self.words
+        return words.unpack((pack & self.low).to_bytes(words.size, "little"))
+
 
 def _mono_divides(a, b):
     for x, y in zip(a, b):
@@ -187,11 +268,11 @@ def _mono_lcm(a, b):
 
 
 def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _pot_key(ring: RingContext):
@@ -199,32 +280,51 @@ def _pot_key(ring: RingContext):
     return lambda t: (-t[0], rk(t[1]))
 
 
-def _poly_to_vec(p: Polynomial, pos: int = 0) -> dict:
-    return {(pos, m): c for m, c in p.terms.items()}
+def _poly_to_vec(p: Polynomial, enc: _Encoding):
+    """(terms, L): the integer terms of L*p, sorted by falling key, with L
+    the least common denominator of p's coefficients."""
+    return _vecs_from_columns([(p,)], enc)[0]
 
 
-def _vecs_from_columns(vs, ring) -> list:
+def _vecs_from_columns(vs, enc: _Encoding) -> list:
+    """(terms, L) per column vector v: the integer terms of L*v, sorted by
+    falling key, with L the least common denominator of v's coefficients."""
     out = []
     for v in vs:
-        d = {}
+        scale = 1
+        for comp in v:
+            for c in comp.terms.values():
+                scale = lcm(scale, c.denominator)
+        terms = []
         for pos, comp in enumerate(v):
             for m, c in comp.terms.items():
-                d[(pos, m)] = c
-        out.append(d)
+                key, pack = enc.term(pos, m)
+                terms.append((key, pack, c.numerator * (scale // c.denominator)))
+        terms.sort(reverse=True)
+        out.append((terms, scale))
     return out
 
 
+def _terms_to_polys(v: list, rank: int, enc: _Encoding, scale: int = 1):
+    """Components of the engine vector v divided by the integer scale."""
+    comps = [dict() for _ in range(rank)]
+    pos_bits, mono = enc.pos_bits, enc.mono
+    for _key, pack, c in v:
+        comps[pack >> pos_bits][mono(pack)] = Fraction(c, scale)
+    return tuple(Polynomial(enc.ring, t) for t in comps)
+
+
 def _vec_to_polys(v: dict, rank: int, ring: RingContext):
+    """Components of a representation dict {(pos, mono): Fraction}."""
     comps = [dict() for _ in range(rank)]
     for (pos, m), c in v.items():
         comps[pos][m] = c
     return tuple(Polynomial(ring, t) for t in comps)
 
 
-def _axpy(acc: dict, c: Fraction, shift, src: dict, clock: _Clock | None):
-    """acc += c * x^shift * src, dropping cancellations."""
-    if clock is not None:
-        clock.tick(len(src))
+def _axpy(acc: dict, c, shift, src: dict):
+    """acc += c * x^shift * src on representation dicts, dropping
+    cancellations."""
     for (pos, m), cc in src.items():
         key = (pos, _mono_add(shift, m))
         s = acc.get(key, 0) + c * cc
@@ -238,112 +338,194 @@ def _scale(v: dict, c: Fraction) -> dict:
     return {t: cc * c for t, cc in v.items()}
 
 
-class _Basis:
-    """Working Groebner basis with cached leads and optional input tags."""
+def _primitive(v: list):
+    """v divided by the gcd of its coefficients, signed so that the lead
+    is positive, and that divisor."""
+    g = gcd(*[c for _k, _p, c in v])
+    if v[0][2] < 0:
+        g = -g
+    if g == 1:
+        return v, 1
+    return [(k, p, c // g) for k, p, c in v], g
 
-    __slots__ = ("ring", "key", "elems", "leads", "sugars", "reps", "by_pos",
+
+class _Basis:
+    """Working Groebner basis with optional input tags.
+
+    Elements are term lists [(key, pack, coeff)] sorted by falling key, with
+    integer coefficients, primitive and with a positive lead. lpacks[i] is
+    the pack of the lead of elems[i], for the divisor search in nf. reps[i],
+    when tracked, is a dict {(input_idx, mono): Fraction} with
+    elems[i] = sum of rep * input.
+    """
+
+    __slots__ = ("ring", "enc", "elems", "lpacks", "sugars", "reps", "by_pos",
                  "track")
 
-    def __init__(self, ring: RingContext, track: bool):
-        self.ring = ring
-        self.key = _pot_key(ring)
+    def __init__(self, enc: _Encoding, track: bool):
+        self.ring = enc.ring
+        self.enc = enc
         self.elems = []
-        self.leads = []      # ((pos, mono), coeff)
+        self.lpacks = []
         self.sugars = []
         self.reps = []       # dict {(input_idx, mono): coeff}
         self.by_pos = {}
         self.track = track
 
-    def append(self, v: dict, sugar: int, rep: dict | None):
+    def append(self, v: list, sugar: int, rep: dict | None, rep_scale=1):
+        """Store v primitive; rep * rep_scale represents v as given."""
         idx = len(self.elems)
-        lt = max(v, key=self.key)
-        self.elems.append(v)
-        self.leads.append((lt, v[lt]))
+        self.elems.append(None)
+        self.reps.append(None)
+        pack = v[0][1]
+        self.lpacks.append(pack)
         self.sugars.append(sugar)
-        self.reps.append(rep)
-        self.by_pos.setdefault(lt[0], []).append(idx)
+        self.by_pos.setdefault(pack >> self.enc.pos_bits, []).append(idx)
+        self.replace(idx, v, rep, rep_scale)
         return idx
 
-    def nf(self, v: dict, clock: _Clock | None, skip: int = -1,
-           sugar: int | None = None):
-        """Full normal form of v; returns (remainder, quotients, sugar).
+    def replace(self, idx: int, v: list, rep: dict | None, rep_scale=1):
+        """Set element idx to v, which keeps its lead monomial."""
+        v, g = _primitive(v)
+        self.elems[idx] = v
+        if rep is not None and rep_scale != g:
+            rep = _scale(rep, Fraction(rep_scale, g))
+        self.reps[idx] = rep
 
-        quotients[i] is a scalar dict {mono: coeff} with
-        v = sum_i quotients[i] * elems[i] + remainder.
+    def lead(self, idx: int) -> tuple:
+        """(pos, exponent tuple) of the lead term of elems[idx]."""
+        pack = self.lpacks[idx]
+        return pack >> self.enc.pos_bits, self.enc.mono(pack)
+
+    def nf(self, v, clock: _Clock | None, skip: int = -1,
+           sugar: int | None = None):
+        """Full normal form of v, fraction-free, with a heap of keys.
+
+        v is an iterable of (key, pack, coeff) terms; equal keys add up.
+        Returns (remainder, quotients, sigma, sugar): the remainder is a term
+        list sorted by falling key, sigma a positive integer, and
+        quotients[i] a dict {pack of shift: Fraction} with
+        sigma * (v - sum_i quotients[i] * elems[i]) = remainder.
+        Each step r <- a*r - b*x^s*elems[i] cancels the lead c*x^m of r
+        against lc*x^lm with a = lc/gcd(c, lc), b = c/gcd(c, lc); it
+        multiplies sigma by a and adds b/sigma to the quotient.
         """
-        r = dict(v)
-        out: dict = {}
+        acc: dict = {}       # key -> coeff of the live remainder
+        packs: dict = {}     # key -> pack, for every key seen
+        for k, p, c in v:
+            c += acc.get(k, 0)
+            if c:
+                acc[k] = c
+                packs[k] = p
+            else:
+                acc.pop(k, None)
+        heap = [-k for k in acc]
+        heapify(heap)
+        out = []             # (key, pack, coeff, sigma when emitted)
         quots: dict = {}
-        key = self.key
-        while r:
-            t = max(r, key=key)
-            c = r[t]
-            pos, m = t
+        sigma = 1
+        guard = self.enc.guard
+        pos_bits = self.enc.pos_bits
+        by_pos, lpacks = self.by_pos, self.lpacks
+        while heap:
+            k = -heappop(heap)
+            c = acc.pop(k, 0)
+            if not c:
+                continue  # cancelled, or a second heap entry of this key
+            p = packs[k]
+            if p & guard:
+                raise BudgetExceeded("exponent beyond the Groebner engine's range")
             hit = -1
-            for idx in self.by_pos.get(pos, ()):
-                if idx == skip:
-                    continue
-                (lpos, lm), lc = self.leads[idx]
-                if _mono_divides(lm, m):
+            for idx in by_pos.get(p >> pos_bits, ()):
+                if idx != skip and not (p - lpacks[idx]) & guard:
                     hit = idx
                     break
             if hit < 0:
-                out[t] = c
-                del r[t]
+                out.append((k, p, c, sigma))
                 continue
-            (_, lm), lc = self.leads[hit]
-            shift = _mono_sub(m, lm)
-            fc = c / lc
-            _axpy(r, -fc, shift, self.elems[hit], clock)
+            elem = self.elems[hit]
+            lk, _lp, lc = elem[0]
+            g = gcd(c, lc)
+            a, b = lc // g, c // g
+            if a != 1:
+                acc = {kk: cc * a for kk, cc in acc.items()}
+                sigma *= a
+            ks = k - lk
+            s = p - lpacks[hit]
+            if clock is not None:
+                clock.tick(len(elem))
+            for kt, pt, ct in islice(elem, 1, None):
+                kk = ks + kt
+                cc = acc.get(kk)
+                if cc is None:
+                    acc[kk] = -b * ct
+                    packs[kk] = s + pt
+                    heappush(heap, -kk)
+                else:
+                    cc -= b * ct
+                    if cc:
+                        acc[kk] = cc
+                    else:
+                        del acc[kk]
             q = quots.setdefault(hit, {})
-            q[shift] = q.get(shift, 0) + fc
+            q[s] = q.get(s, 0) + Fraction(b, sigma)
             if sugar is not None:
-                sugar = max(sugar, sum(shift) + self.sugars[hit])
-        return out, quots, sugar
+                sugar = max(sugar, sum(self.enc.mono(s)) + self.sugars[hit])
+        r = [(k, p, c if se == sigma else c * (sigma // se))
+             for k, p, c, se in out]
+        return r, quots, sigma, sugar
 
-    def rep_of(self, quots: dict) -> dict:
-        """Compose reduction quotients with stored input representations."""
-        out: dict = {}
+    def rep_of(self, quots: dict, scale=1, acc: dict | None = None) -> dict:
+        """acc + scale * sum_i quotients[i] * reps[i], in place."""
+        out = {} if acc is None else acc
+        mono = self.enc.mono
         for idx, q in quots.items():
             rep = self.reps[idx]
-            for shift, c in q.items():
-                _axpy(out, c, shift, rep, None)
+            for s, c in q.items():
+                _axpy(out, scale * c, mono(s), rep)
         return out
 
 
 def _spair_parts(basis: _Basis, i: int, j: int):
-    (pos, mi), ci = basis.leads[i]
-    (_, mj), cj = basis.leads[j]
+    mi, mj = basis.lead(i)[1], basis.lead(j)[1]
     lcm = _mono_lcm(mi, mj)
-    return lcm, _mono_sub(lcm, mi), _mono_sub(lcm, mj), ci, cj
+    return (lcm, _mono_sub(lcm, mi), _mono_sub(lcm, mj),
+            basis.elems[i][0][2], basis.elems[j][0][2])
 
 
 def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock | None):
-    """S-vector of elements i and j, with the multipliers x^ui, x^uj and the
-    lead coefficients ci, cj it was built from."""
+    """S-vector ai*x^ui*elems[i] - aj*x^uj*elems[j] of elements i and j, as
+    terms whose leads cancel (left out), with x^ui, x^uj and the integers
+    ai = cj/g, aj = ci/g it was built from, g = gcd(ci, cj)."""
     _lcm, ui, uj, ci, cj = _spair_parts(basis, i, j)
-    s: dict = {}
-    _axpy(s, Fraction(1) / ci, ui, basis.elems[i], clock)
-    _axpy(s, Fraction(-1) / cj, uj, basis.elems[j], clock)
-    return s, ui, uj, ci, cj
+    g = gcd(ci, cj)
+    ai, aj = cj // g, ci // g
+    if clock is not None:
+        clock.tick(len(basis.elems[i]) + len(basis.elems[j]))
+    kui, pui = basis.enc.term(0, ui)
+    kuj, puj = basis.enc.term(0, uj)
+    s = [(k + kui, p + pui, ai * c) for k, p, c in islice(basis.elems[i], 1, None)]
+    s += [(k + kuj, p + puj, -aj * c) for k, p, c in islice(basis.elems[j], 1, None)]
+    return s, ui, uj, ai, aj
 
 
 def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     """Gebauer-Moller update of the pair set for new element t."""
-    (tpos, tm), _ = basis.leads[t]
+    leads = [basis.lead(i) for i in range(t + 1)]
+    tpos, tm = leads[t]
     lcms = {}
     for i in range(t):
-        (ipos, im), _ = basis.leads[i]
+        ipos, im = leads[i]
         if ipos == tpos:
             lcms[i] = _mono_lcm(im, tm)
     # prune old pairs via the chain criterion
     kept = set()
     for (i, j) in P:
-        (ipos, im), _ = basis.leads[i]
+        ipos, im = leads[i]
         if ipos != tpos:
             kept.add((i, j))
             continue
-        lcm_ij = _mono_lcm(im, basis.leads[j][0][1])
+        lcm_ij = _mono_lcm(im, leads[j][1])
         if (not _mono_divides(tm, lcm_ij)
                 or lcms[i] == lcm_ij or lcms[j] == lcm_ij):
             kept.add((i, j))
@@ -355,7 +537,7 @@ def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     for i in order:
         remaining.discard(i)
         li = lcms[i]
-        if scalar and li == _mono_add(basis.leads[i][0][1], tm):
+        if scalar and li == _mono_add(leads[i][1], tm):
             survivors.append((i, True))
             continue
         if any(_mono_divides(lcms[j], li) for j in remaining):
@@ -369,88 +551,79 @@ def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     return kept
 
 
-def _buchberger(vectors, ring: RingContext, clock: _Clock | None,
+def _buchberger(vectors, enc: _Encoding, clock: _Clock | None,
                 track: bool = False):
-    """Reduced Groebner basis of the given vectors (dict form).
+    """Reduced Groebner basis of the given (terms, L) vectors.
 
     Returns a _Basis whose elems are the reduced basis, sorted by leading
-    term, monic; reps (when tracked) express each element in the inputs.
+    term, primitive; reps (when tracked) express each element in the inputs
+    v_i, where terms = L * v_i.
     """
-    basis = _Basis(ring, track)
-    scalar = all(pos == 0 for v in vectors for (pos, _m) in v)
+    basis = _Basis(enc, track)
+    top = 1 << enc.pos_bits
+    scalar = all(p < top for v, _l in vectors for _k, p, _c in v)
     P: set = set()
-    for i, v in enumerate(vectors):
+    for i, (v, scale) in enumerate(vectors):
         if not v:
             continue
-        sugar = max(sum(m) for (_p, m) in v)
-        rep = {(i, (0,) * ring.nvars): Fraction(1)} if track else None
-        t = basis.append(dict(v), sugar, rep)
+        sugar = max(sum(enc.mono(p)) for _k, p, _c in v)
+        rep = {(i, (0,) * enc.nvars): Fraction(scale)} if track else None
+        t = basis.append(v, sugar, rep)
         P = _update_pairs(P, basis, t, scalar)
-    pkey = basis.key
 
     def pair_rank(pair):
         i, j = pair
         lcm, ui, uj, _, _ = _spair_parts(basis, i, j)
         sugar = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
-        return (sugar, pkey((basis.leads[i][0][0], lcm)), j, i)
+        return (sugar, enc.term(basis.lpacks[i] >> enc.pos_bits, lcm)[0], j, i)
 
     while P:
         i, j = min(P, key=pair_rank)
         P.discard((i, j))
-        s, ui, uj, ci, cj = _s_vector(basis, i, j, clock)
+        s, ui, uj, ai, aj = _s_vector(basis, i, j, clock)
         sugar0 = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
-        r, quots, sugar = basis.nf(s, clock, sugar=sugar0)
+        r, quots, sigma, sugar = basis.nf(s, clock, sugar=sugar0)
         if not r:
             continue
         rep = None
         if track:
             rep = {}
-            _axpy(rep, Fraction(1) / ci, ui, basis.reps[i], None)
-            _axpy(rep, Fraction(-1) / cj, uj, basis.reps[j], None)
-            for idx, q in quots.items():
-                for shift, c in q.items():
-                    _axpy(rep, -c, shift, basis.reps[idx], None)
-        t = basis.append(r, sugar, rep)
+            _axpy(rep, ai, ui, basis.reps[i])
+            _axpy(rep, -aj, uj, basis.reps[j])
+            basis.rep_of(quots, -1, rep)
+        t = basis.append(r, sugar, rep, sigma)
         P = _update_pairs(P, basis, t, scalar)
     return _reduce_basis(basis, clock)
 
 
 def _reduce_basis(basis: _Basis, clock: _Clock | None) -> _Basis:
-    """Minimalize, interreduce and sort; the result is the reduced basis."""
+    """Minimalize, interreduce and sort; the result is the reduced basis,
+    each element primitive rather than monic."""
     n = len(basis.elems)
-    order = sorted(range(n), key=lambda i: (basis.key(basis.leads[i][0]), i))
+    order = sorted(range(n), key=lambda i: (basis.elems[i][0][0], i))
+    leads = [basis.lead(i) for i in range(n)]
     kept = []
     for i in order:
-        (pos, m), _ = basis.leads[i]
+        pos, m = leads[i]
         redundant = False
         for j in kept:
-            (jpos, jm), _ = basis.leads[j]
+            jpos, jm = leads[j]
             if jpos == pos and _mono_divides(jm, m):
                 redundant = True
                 break
         if not redundant:
             kept.append(i)
-    out = _Basis(basis.ring, basis.track)
+    out = _Basis(basis.enc, basis.track)
     # stage the kept elements, then tail-reduce each against the others
     for i in kept:
-        out.append(dict(basis.elems[i]), basis.sugars[i],
+        out.append(basis.elems[i], basis.sugars[i],
                    None if not basis.track else dict(basis.reps[i]))
     for idx in range(len(out.elems)):
-        r, quots, _ = out.nf(out.elems[idx], clock, skip=idx)
+        r, quots, sigma, _ = out.nf(out.elems[idx], clock, skip=idx)
         rep = out.reps[idx]
         if out.track:
-            for j, q in quots.items():
-                for shift, c in q.items():
-                    _axpy(rep, -c, shift, out.reps[j], None)
-        lt = max(r, key=out.key)
-        lc = r[lt]
-        if lc != 1:
-            r = _scale(r, Fraction(1) / lc)
-            if out.track:
-                rep = _scale(rep, Fraction(1) / lc)
-        out.elems[idx] = r
-        out.leads[idx] = (lt, Fraction(1))
-        out.reps[idx] = rep
+            out.rep_of(quots, -1, rep)
+        out.replace(idx, r, rep, sigma)
     return out
 
 
@@ -475,12 +648,9 @@ def _gb(I: IdealBasis, order=None, track: bool = False,
         if hit is not None:
             return hit
     clock = _Clock(budget or DEFAULT_BUDGET, "groebner basis")
-    if ring is I.ring:
-        gens = I.generators
-    else:
-        gens = tuple(Polynomial(ring, g.terms) for g in I.generators)
-    vecs = [_poly_to_vec(g) for g in gens]
-    basis = _buchberger(vecs, ring, clock, track=track)
+    enc = _Encoding(ring)
+    basis = _buchberger([_poly_to_vec(g, enc) for g in I.generators], enc,
+                        clock, track=track)
     I._cache[key] = basis
     return basis
 
@@ -496,8 +666,9 @@ def _module_gb(M: ModuleBasis, track: bool = False,
         if hit is not None:
             return hit
     clock = _Clock(budget or DEFAULT_BUDGET, "module groebner basis")
-    vecs = _vecs_from_columns(M.generators, M.ring)
-    basis = _buchberger(vecs, M.ring, clock, track=track)
+    enc = _Encoding(M.ring)
+    basis = _buchberger(_vecs_from_columns(M.generators, enc), enc, clock,
+                        track=track)
     M._cache[key] = basis
     return basis
 
@@ -508,7 +679,7 @@ def groebner_basis(I: IdealBasis, order=None, budget: Budget | None = None) -> I
     """Reduced Groebner basis of I; deterministic for a fixed order."""
     ring = _ring_with_order(I.ring, order)
     basis = _gb(I, order, budget=budget)
-    polys = [_vec_to_polys(v, 1, ring)[0] for v in basis.elems]
+    polys = [_terms_to_polys(v, 1, basis.enc, v[0][2])[0] for v in basis.elems]
     out = IdealBasis(polys, ring=ring)
     out._cache[("gb", ring.order, False)] = basis
     return out
@@ -518,8 +689,9 @@ def normal_form(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> P
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
     basis = _gb(I, budget=budget)
-    r, _q, _s = basis.nf(_poly_to_vec(p), None)
-    return _vec_to_polys(r, 1, I.ring)[0]
+    v, scale = _poly_to_vec(p, basis.enc)
+    r, _q, sigma, _s = basis.nf(v, None)
+    return _terms_to_polys(r, 1, basis.enc, sigma * scale)[0]
 
 
 def member(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> bool:
@@ -532,10 +704,11 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
     basis = _gb(I, track=True, budget=budget)
-    r, quots, _ = basis.nf(_poly_to_vec(p), None)
+    v, scale = _poly_to_vec(p, basis.enc)
+    r, quots, _sigma, _s = basis.nf(v, None)
     if r:
         return None
-    rep = basis.rep_of(quots)
+    rep = basis.rep_of(quots, Fraction(1, scale))
     cof = _vec_to_polys(rep, len(I.generators), I.ring)
     return list(cof)
 
@@ -543,7 +716,7 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
 def _lt_generators(I: IdealBasis, budget: Budget | None = None):
     """Minimal generators of the leading-term ideal; None entry for 1 in I."""
     basis = _gb(I, budget=budget)
-    monos = [lt[1] for (lt, _c) in basis.leads]
+    monos = [basis.lead(i)[1] for i in range(len(basis.elems))]
     if any(sum(m) == 0 for m in monos):
         return None
     minimal = []
@@ -664,11 +837,13 @@ def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> Ide
     gens = [t * up(f) for f in I.generators]
     gens += [(elim.one() - t) * up(g) for g in J.generators]
     clock = _Clock(budget or DEFAULT_BUDGET, "intersection")
-    basis = _buchberger([_poly_to_vec(g) for g in gens], elim, clock)
+    enc = _Encoding(elim)
+    basis = _buchberger([_poly_to_vec(g, enc) for g in gens], enc, clock)
     out = []
     for v in basis.elems:
-        if all(m[0] == 0 for (_p, m) in v):
-            out.append(Polynomial(ring, {m[1:]: c for (_p, m), c in v.items()}))
+        (p,) = _terms_to_polys(v, 1, enc, v[0][2])
+        if all(m[0] == 0 for m in p.terms):
+            out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms.items()}))
     if all(g.is_homogeneous() for g in I.generators + J.generators):
         parts = []
         for p in out:
@@ -701,10 +876,10 @@ def ideal_equal(A: IdealBasis, B: IdealBasis, budget: Budget | None = None) -> b
     return ideal_contains(A, B, budget=budget) and ideal_contains(B, A, budget=budget)
 
 
-def _prune(candidates, grading, ring: RingContext, clock: _Clock) -> list:
+def _prune(candidates, grading, enc: _Encoding, clock: _Clock) -> list:
     """Positions in candidates of a minimal generating subset, kept greedily.
 
-    candidates are nonzero homogeneous dict vectors as (degree, vector)
+    candidates are nonzero homogeneous engine vectors as (degree, terms)
     pairs in ascending (degree, input index) order, where the degree of a
     term (pos, m) is sum(m) + grading[pos]. One incremental Buchberger runs
     for the whole call. Before a candidate of degree d is tested, the basis
@@ -713,16 +888,16 @@ def _prune(candidates, grading, ring: RingContext, clock: _Clock) -> list:
     decides membership in degree d. A candidate is kept when its normal
     form is nonzero, and that normal form joins the basis.
     """
-    basis = _Basis(ring, False)
-    scalar = all(pos == 0 for _d, v in candidates for (pos, _m) in v)
+    basis = _Basis(enc, False)
+    top = 1 << enc.pos_bits
+    scalar = all(p < top for _d, v in candidates for _k, p, _c in v)
     P: set = set()
-    pkey = basis.key
 
     def pair_rank(pair):
         i, j = pair
-        (pos, mi), _ = basis.leads[i]
-        lcm = _mono_lcm(mi, basis.leads[j][0][1])
-        return (sum(lcm) + grading[pos], pkey((pos, lcm)), j, i)
+        pos, mi = basis.lead(i)
+        lcm = _mono_lcm(mi, basis.lead(j)[1])
+        return (sum(lcm) + grading[pos], enc.term(pos, lcm)[0], j, i)
 
     kept = []
     for k, (d, v) in enumerate(candidates):
@@ -732,11 +907,11 @@ def _prune(candidates, grading, ring: RingContext, clock: _Clock) -> list:
                 break
             j, i = rank[2:]
             P.discard((i, j))
-            r, _q, _s = basis.nf(_s_vector(basis, i, j, clock)[0], clock)
+            r = basis.nf(_s_vector(basis, i, j, clock)[0], clock)[0]
             if r:
                 t = basis.append(r, rank[0], None)
                 P = _update_pairs(P, basis, t, scalar)
-        r, _q, _s = basis.nf(v, clock)
+        r = basis.nf(v, clock)[0]
         if r:
             kept.append(k)
             t = basis.append(r, d, None)
@@ -750,8 +925,9 @@ def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasi
     candidates = sorted((g for g in I.generators if not g.is_zero()),
                         key=lambda g: g.degree())
     clock = _Clock(budget or DEFAULT_BUDGET, "minimal generators")
-    kept = _prune([(g.degree(), _poly_to_vec(g)) for g in candidates], (0,),
-                  I.ring, clock)
+    enc = _Encoding(I.ring)
+    kept = _prune([(g.degree(), _poly_to_vec(g, enc)[0]) for g in candidates],
+                  (0,), enc, clock)
     return IdealBasis([candidates[k] for k in kept], ring=I.ring)
 
 
@@ -759,12 +935,9 @@ def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasi
 
 def module_normal_form(vector, M: ModuleBasis, budget: Budget | None = None):
     basis = _module_gb(M, budget=budget)
-    vec = {}
-    for pos, comp in enumerate(vector):
-        for m, c in comp.terms.items():
-            vec[(pos, m)] = c
-    r, _q, _s = basis.nf(vec, None)
-    return _vec_to_polys(r, M.ambient_rank, M.ring)
+    ((v, scale),) = _vecs_from_columns([vector], basis.enc)
+    r, _q, sigma, _s = basis.nf(v, None)
+    return _terms_to_polys(r, M.ambient_rank, basis.enc, sigma * scale)
 
 
 def module_member(vector, M: ModuleBasis, budget: Budget | None = None) -> bool:
@@ -805,6 +978,8 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     tracked representations, and add the rows of (Id - B*A) that witness
     how each input reduces to the basis. Zero rows are dropped.
     """
+    # started before the tracked basis, so the whole step keeps to its seconds
+    clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
     if isinstance(F, IdealBasis):
         ring = F.ring
         inputs = [(g,) for g in F.generators]
@@ -827,36 +1002,31 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
-    clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
-    key = tracked.key
+    key = _pot_key(ring)
     syz_vecs = []
     pairs: set = set()
     for k in range(len(tracked.elems)):
         pairs = _update_pairs(pairs, tracked, k, scalar=False)
     # relations among the basis elements, composed down to the inputs
     for i, j in sorted(pairs):
-        s, ui, uj, ci, cj = _s_vector(tracked, i, j, clock)
-        r, quots, _ = tracked.nf(s, clock)
+        s, ui, uj, ai, aj = _s_vector(tracked, i, j, clock)
+        r, quots, _sigma, _s = tracked.nf(s, clock)
         if r:
             raise RuntimeError("S-pair of a Groebner basis did not vanish")
         rel: dict = {}
-        _axpy(rel, Fraction(1) / ci, ui, tracked.reps[i], None)
-        _axpy(rel, Fraction(-1) / cj, uj, tracked.reps[j], None)
-        for idx, q in quots.items():
-            for shift, c in q.items():
-                _axpy(rel, -c, shift, tracked.reps[idx], None)
+        _axpy(rel, ai, ui, tracked.reps[i])
+        _axpy(rel, -aj, uj, tracked.reps[j])
+        tracked.rep_of(quots, -1, rel)
         if rel:
             syz_vecs.append(rel)
     # rows of (Id - B*A): how each input reduces over the basis
-    vec_inputs = _vecs_from_columns(inputs, ring)
-    for i, v in enumerate(vec_inputs):
-        r, quots, _ = tracked.nf(v, clock)
+    vec_inputs = _vecs_from_columns(inputs, tracked.enc)
+    for i, (v, scale) in enumerate(vec_inputs):
+        r, quots, _sigma, _s = tracked.nf(v, clock)
         if r:
             raise RuntimeError("input does not reduce to zero over its basis")
-        rel = {(i, (0,) * ring.nvars): Fraction(1)}
-        for idx, q in quots.items():
-            for shift, c in q.items():
-                _axpy(rel, -c, shift, tracked.reps[idx], None)
+        rel = {(i, (0,) * ring.nvars): Fraction(scale)}
+        tracked.rep_of(quots, -1, rel)
         if rel:
             syz_vecs.append(rel)
     # normalize, dedupe, sort
@@ -885,10 +1055,11 @@ def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> M
     degs = [vector_degree(v, M.grading) for v in M.generators]
     order = sorted((i for i, d in enumerate(degs) if d is not None),
                    key=lambda i: (degs[i], i))
-    vecs = _vecs_from_columns([M.generators[i] for i in order], M.ring)
+    enc = _Encoding(M.ring)
+    vecs = _vecs_from_columns([M.generators[i] for i in order], enc)
     clock = _Clock(budget or DEFAULT_BUDGET, "minimal module generators")
-    kept = _prune([(degs[i], v) for i, v in zip(order, vecs)], M.grading,
-                  M.ring, clock)
+    kept = _prune([(degs[i], v) for i, (v, _l) in zip(order, vecs)],
+                  M.grading, enc, clock)
     return ModuleBasis(M.ambient_rank, [M.generators[order[k]] for k in kept],
                        ring=M.ring, grading=M.grading)
 
@@ -910,7 +1081,13 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     """
     _require_homogeneous(I)
     ring = I.ring
-    gens = minimal_generators(I, budget=budget).generators
+    budget = budget or DEFAULT_BUDGET
+    end = time.monotonic() + budget.seconds
+
+    def remaining() -> Budget:
+        return Budget(max(0.0, end - time.monotonic()), budget.max_monomials)
+
+    gens = minimal_generators(I, budget=remaining()).generators
     if not gens:
         return GradedResolution(ring, (), (), minimal=True)
     if any(g.is_unit() for g in gens):
@@ -920,10 +1097,10 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     current = ModuleBasis(1, [(g,) for g in gens], ring=ring, grading=(0,))
     while len(maps) < max_length:
         syz = syzygies(current if len(maps) > 1 else IdealBasis(gens, ring=ring),
-                       budget=budget)
+                       budget=remaining())
         syz = ModuleBasis(syz.ambient_rank, syz.generators, ring=ring,
                           grading=shifts[-1])
-        syz = module_minimal_generators(syz, budget=budget)
+        syz = module_minimal_generators(syz, budget=remaining())
         if not syz.generators:
             break
         col_shifts = tuple(vector_degree(v, shifts[-1]) for v in syz.generators)

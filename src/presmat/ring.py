@@ -115,6 +115,8 @@ class RingContext:
                            self.order if order is None else order)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, RingContext)
                 and self.variables == other.variables
                 and self.order == other.order)

@@ -276,6 +276,39 @@ def test_usage_errors_remap_to_one(capsys):
     capsys.readouterr()
 
 
+def test_commands_share_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; flags and arguments of one
+    # call must not leak into the next
+    from presmat import cli
+    assert cli._build_parser() is cli._build_parser()
+    path = write(tmp_path, "m.json", SQUARE4)
+    code, report = invoke(capsys, "check", "--transpose", path)
+    assert code == EXIT_NEGATIVE
+    assert report["verdict"] == "not_presentation"
+
+    assert main(["check", "--no-such-flag", path]) == EXIT_ERROR
+    assert "usage:" in capsys.readouterr().err
+
+    code, report = invoke(capsys, "check", path)
+    assert code == EXIT_OK
+    assert report["verdict"] == "presentation"
+
+    code, report = invoke(capsys, "betti-classify", "--homogeneous", "4", "3", "5")
+    assert code == EXIT_NEGATIVE
+    assert report["verdict"] == "NotEssential"
+
+    code, report = invoke(capsys, "--budget-seconds", "30", "gamma", path)
+    assert code == EXIT_OK
+    assert report["result"]["gamma"] == ["z*t", "x*t", "x*y", "y*z"]
+
+    ideal_path = write(tmp_path, "i.json", {"ring": {"vars": ["x", "y", "z"]},
+                                            "ideal": ["x", "y", "z"]})
+    code, report = invoke(capsys, "resolve", ideal_path)
+    assert code == EXIT_OK
+    assert report["command"] == "resolve"
+    assert report["result"]["betti"] == {"a": [1, 1, 1], "b": [2, 2, 2], "s": 3}
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     doc = {"sequence": {"a": [3, 3, 3, 3], "b": [5, 5, 5, 5], "s": 8}}
     path = write(tmp_path, "s.json", doc)

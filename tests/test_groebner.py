@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -313,6 +313,19 @@ def test_syzygies_of_redundant_generators():
     assert module_member((XYZ.one(), XYZ.zero(), -XYZ.one()), S)
 
 
+def shifted_terms(enc, a, u, terms):
+    """a * x^u * terms for engine term lists, from the linear key and pack."""
+    ku, pu = enc.term(0, u)
+    return [(k + ku, p + pu, a * c) for k, p, c in terms]
+
+
+def lift_quotients(rel, quots, tracked):
+    """rel -= sum of quotient * rep over the tracked basis."""
+    for idx, q in quots.items():
+        for shift, c in q.items():
+            engine._axpy(rel, -c, tracked.enc.mono(shift), tracked.reps[idx])
+
+
 def all_pairs_syzygies(F):
     """Reference syzygies: lift every same-position S-pair of the tracked
     basis, with no pair criteria, plus the rows of (Id - B*A)."""
@@ -323,32 +336,28 @@ def all_pairs_syzygies(F):
         inputs = list(F.generators)
         tracked = engine._module_gb(
             ModuleBasis(F.ambient_rank, F.generators, ring=F.ring), track=True)
-    ring, n = F.ring, len(inputs)
+    ring, n, enc = F.ring, len(inputs), tracked.enc
     rels = []
     for i in range(len(tracked.elems)):
         for j in range(i + 1, len(tracked.elems)):
-            if tracked.leads[i][0][0] != tracked.leads[j][0][0]:
+            if tracked.lead(i)[0] != tracked.lead(j)[0]:
                 continue
             _lcm, ui, uj, ci, cj = engine._spair_parts(tracked, i, j)
-            s = {}
-            engine._axpy(s, 1 / ci, ui, tracked.elems[i], None)
-            engine._axpy(s, -1 / cj, uj, tracked.elems[j], None)
-            r, quots, _ = tracked.nf(s, None)
+            # cj*x^ui*e_i - ci*x^uj*e_j, whole elements: the leads cancel in nf
+            s = shifted_terms(enc, cj, ui, tracked.elems[i])
+            s += shifted_terms(enc, -ci, uj, tracked.elems[j])
+            r, quots, _sigma, _sugar = tracked.nf(s, None)
             assert not r
             rel = {}
-            engine._axpy(rel, 1 / ci, ui, tracked.reps[i], None)
-            engine._axpy(rel, -1 / cj, uj, tracked.reps[j], None)
-            for idx, q in quots.items():
-                for shift, c in q.items():
-                    engine._axpy(rel, -c, shift, tracked.reps[idx], None)
+            engine._axpy(rel, cj, ui, tracked.reps[i])
+            engine._axpy(rel, -ci, uj, tracked.reps[j])
+            lift_quotients(rel, quots, tracked)
             rels.append(rel)
-    for i, v in enumerate(engine._vecs_from_columns(inputs, ring)):
-        r, quots, _ = tracked.nf(v, None)
+    for i, (v, scale) in enumerate(engine._vecs_from_columns(inputs, enc)):
+        r, quots, _sigma, _sugar = tracked.nf(v, None)
         assert not r
-        rel = {(i, (0,) * ring.nvars): Fraction(1)}
-        for idx, q in quots.items():
-            for shift, c in q.items():
-                engine._axpy(rel, -c, shift, tracked.reps[idx], None)
+        rel = {(i, (0,) * ring.nvars): Fraction(scale)}
+        lift_quotients(rel, quots, tracked)
         rels.append(rel)
     cols = [engine._vec_to_polys(rel, n, ring) for rel in rels if rel]
     return ModuleBasis(n, cols, ring=ring)
@@ -652,3 +661,167 @@ def test_ideal_contains():
     small = ideal(XYZ, "x^2 + x*y")
     assert ideal_contains(big, small)
     assert not ideal_contains(small, big)
+
+
+# -- the fraction-free engine ----------------------------------------------------
+
+
+def rational_form(rng, ring, degree, max_terms=4):
+    """Random nonzero form whose coefficients have denominators."""
+    form = random_form(rng, ring, degree, max_terms)
+    return Polynomial(ring, {m: c * Fraction(rng.randint(1, 9), rng.randint(1, 7))
+                             for m, c in form.terms.items()})
+
+
+def test_encoding_orders_and_divides_like_the_ring():
+    rng = random.Random(97)
+    big = (1 << 31) - 1
+    for order in ("grevlex", "lex", ("elim", 1), ("elim", 2)):
+        ring = RingContext(("x", "y", "z", "t"), order=order)
+        enc = engine._Encoding(ring)
+        monos = [tuple(rng.choice((0, 1, 2, 3, 7, big // 3, big)) for _ in range(4))
+                 for _ in range(60)]
+        terms = [(pos, m) for m in monos for pos in (0, 2)]
+        for (pa, a) in terms:
+            ka, pka = enc.term(pa, a)
+            assert enc.mono(pka) == a and pka >> enc.pos_bits == pa
+            for (pb, b) in terms:
+                kb, pkb = enc.term(pb, b)
+                expected = (-pa, ring.key(a)) < (-pb, ring.key(b))
+                assert (ka < kb) == expected
+                if pa == pb:
+                    divides = all(x <= y for x, y in zip(a, b))
+                    assert (not (pkb - pka) & enc.guard) == divides
+        small = [tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(20)]
+        for s in small:
+            ks, ps = enc.term(0, s)
+            for t in small:
+                kt, pt = enc.term(1, t)
+                assert enc.term(1, tuple(x + y for x, y in zip(s, t))) == (ks + kt, ps + pt)
+    with pytest.raises(BudgetExceeded):
+        engine._Encoding(XYZ).term(0, (1 << 31, 0, 0))
+
+
+def check_nf_identity(basis, v, rank):
+    """sigma*v = sum_i sigma*q_i*e_i + r exactly, with r fully reduced."""
+    enc, ring = basis.enc, basis.ring
+    r, quots, sigma, _sugar = basis.nf(v, None)
+    assert isinstance(sigma, int) and sigma > 0
+    assert all(isinstance(c, int) for _k, _p, c in r)
+    lhs = [p * sigma for p in engine._terms_to_polys(v, rank, enc)]
+    rhs = list(engine._terms_to_polys(r, rank, enc))
+    for idx, q in quots.items():
+        quotient = ring.zero()
+        for shift, c in q.items():
+            assert isinstance(c, Fraction)
+            quotient = quotient + ring.monomial(enc.mono(shift), c)
+        for pos, comp in enumerate(engine._terms_to_polys(basis.elems[idx], rank, enc)):
+            rhs[pos] = rhs[pos] + quotient * comp * sigma
+    assert lhs == rhs
+    for _k, pack, _c in r:
+        pos, m = pack >> enc.pos_bits, enc.mono(pack)
+        assert not any(lp == pos and all(a <= b for a, b in zip(lm, m))
+                       for lp, lm in map(basis.lead, range(len(basis.elems))))
+    return sigma
+
+
+def test_nf_is_exact_and_fraction_free():
+    rng = random.Random(89)
+    sigmas, scales, leads = [], [], []
+    for trial in range(10):
+        if trial % 2 == 0:
+            gens = [rational_form(rng, XYZ, rng.choice((2, 2, 3))) for _ in range(3)]
+            F = IdealBasis(gens, ring=XYZ)
+            basis, rank = engine._gb(F, track=True), 1
+            columns = [(g,) for g in gens]
+        else:
+            rank = rng.randint(2, 3)
+            columns = [tuple(rational_form(rng, XYZ, rng.randint(1, 2))
+                             if rng.random() < 0.8 else XYZ.zero()
+                             for _ in range(rank)) for _ in range(3)]
+            F = ModuleBasis(rank, columns, ring=XYZ)
+            basis = engine._module_gb(F, track=True)
+        for elem in basis.elems:
+            lc = elem[0][2]
+            assert isinstance(lc, int) and lc > 0
+            leads.append(lc)
+            assert gcd(*[c for _k, _p, c in elem]) == 1
+        probes = []
+        for _ in range(4):
+            coeffs = [rational_form(rng, XYZ, rng.randint(0, 2)) for _ in columns]
+            member_probe = tuple(combine(coeffs, [col[pos] for col in columns], XYZ)
+                                 for pos in range(rank))
+            other = tuple(rational_form(rng, XYZ, rng.randint(1, 3)) for _ in range(rank))
+            probes += [(member_probe, True), (other, False)]
+        for probe, is_member in probes:
+            ((v, scale),) = engine._vecs_from_columns([probe], basis.enc)
+            scales.append(scale)
+            sigmas.append(check_nf_identity(basis, v, rank))
+            if is_member:
+                assert not basis.nf(v, None)[0]
+            if rank == 1:
+                cof = member_with_cofactors(probe[0], F)
+                if is_member:
+                    assert cof is not None
+                    assert combine(cof, F.generators, XYZ) == probe[0]
+                elif cof is not None:
+                    assert combine(cof, F.generators, XYZ) == probe[0]
+    assert max(leads) > 1     # non-unit integer leads
+    assert max(sigmas) > 1    # the a != 1 step ran
+    assert max(scales) > 1    # denominators were cleared
+
+
+def test_reduced_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    shapes = {3: ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (3, 3, 3)), 4: ((2, 2, 2), (2, 2, 3))}
+    for nvars, degree_lists in shapes.items():
+        ring = XYZ if nvars == 3 else XYZT
+        symbols = sympy.symbols(ring.variables)
+        for k, degrees in enumerate(degree_lists):
+            rng = random.Random(1000 * nvars + k)
+            gens = []
+            for degree in degrees:
+                monos = [tuple(c.count(v) for v in range(nvars))
+                         for c in combinations_with_replacement(range(nvars), degree)]
+                gens.append(Polynomial(ring, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                                              for m in monos}))
+            ours = {frozenset(g.terms.items())
+                    for g in groebner_basis(IdealBasis(gens, ring=ring)).generators}
+            exprs = [sum(int(c) * sympy.prod(s ** e for s, e in zip(symbols, m))
+                         for m, c in g.terms.items()) for g in gens]
+            theirs = set()
+            for g in sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ").exprs:
+                terms = sympy.Poly(g, *symbols).terms()
+                theirs.add(frozenset((tuple(m), Fraction(int(c.p), int(c.q)))
+                                     for m, c in terms))
+            assert ours == theirs
+
+
+def test_resolution_stops_at_one_deadline(monkeypatch):
+    # A fake clock that advances one second per reading; every step ticks
+    # it, so the count of readings is the same on every machine.
+    now = [0.0]
+
+    def fake_monotonic():
+        now[0] += 1.0
+        return now[0]
+
+    def fresh():
+        return ideal(XYZ, "x^2 + 2*y*z", "y^2 - 3*x*z", "z^2 + x*y", "x*y - y*z")
+
+    monkeypatch.setattr(engine.time, "monotonic", fake_monotonic)
+    full = minimal_free_resolution(fresh(), max_length=3, budget=Budget(seconds=1e9))
+    readings = int(now[0])
+    assert readings > 20
+    half = readings // 2
+    now[0] = 0.0
+    with pytest.raises(BudgetExceeded):
+        minimal_free_resolution(fresh(), max_length=3, budget=Budget(seconds=half))
+    # The call ends at reading 1 + half. A step reads the clock once to take
+    # the seconds that remain and once per clock it starts, so it may stop a
+    # few readings later, but never a step's worth of seconds later.
+    assert 1 + half < now[0] <= 1 + half + 5
+    now[0] = 0.0
+    again = minimal_free_resolution(fresh(), max_length=3,
+                                    budget=Budget(seconds=readings))
+    assert again.shifts == full.shifts
