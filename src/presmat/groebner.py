@@ -14,11 +14,14 @@ results are divided back on the way out, so callers see the same Fraction
 polynomials, monic where a reduced basis is returned. Buchberger runs with the
 Gebauer-Moller pair criteria and sugar-degree selection; the coprime-lead
 shortcut applies only in rank 1, where it is valid. Representations of
-basis elements in terms of the input generators are tracked on demand,
-which yields membership cofactors and Schreyer-style syzygies; the syzygies
-lift only the pairs that survive the Gebauer-Moller criteria. Minimal
-generators of ideals and graded modules come from one incremental Buchberger
-per call, truncated at the degree of the candidate under test.
+basis elements in terms of the input generators are tracked on demand by
+the basis of the augmented module [F | I]: input i carries one tag term
+at position rank + i, below every real position, so each element's
+representation is the tail of its own term list, kept by the same integer
+arithmetic. That yields membership cofactors and Schreyer-style syzygies;
+the syzygies lift only the pairs that survive the Gebauer-Moller criteria.
+Minimal generators of ideals and graded modules come from one incremental
+Buchberger per call, truncated at the degree of the candidate under test.
 """
 
 from __future__ import annotations
@@ -275,11 +278,6 @@ def _mono_add(a, b):
     return tuple(map(add, a, b))
 
 
-def _pot_key(ring: RingContext):
-    rk = ring._key
-    return lambda t: (-t[0], rk(t[1]))
-
-
 def _poly_to_vec(p: Polynomial, enc: _Encoding):
     """(terms, L): the integer terms of L*p, sorted by falling key, with L
     the least common denominator of p's coefficients."""
@@ -306,36 +304,32 @@ def _vecs_from_columns(vs, enc: _Encoding) -> list:
 
 
 def _terms_to_polys(v: list, rank: int, enc: _Encoding, scale: int = 1):
-    """Components of the engine vector v divided by the integer scale."""
+    """Components of the engine vector v divided by the integer scale; terms
+    at positions from rank on (tags) are left out."""
     comps = [dict() for _ in range(rank)]
     pos_bits, mono = enc.pos_bits, enc.mono
     for _key, pack, c in v:
-        comps[pack >> pos_bits][mono(pack)] = Fraction(c, scale)
+        pos = pack >> pos_bits
+        if pos < rank:
+            comps[pos][mono(pack)] = Fraction(c, scale)
     return tuple(Polynomial(enc.ring, t) for t in comps)
 
 
-def _vec_to_polys(v: dict, rank: int, ring: RingContext):
-    """Components of a representation dict {(pos, mono): Fraction}."""
-    comps = [dict() for _ in range(rank)]
-    for (pos, m), c in v.items():
-        comps[pos][m] = c
-    return tuple(Polynomial(ring, t) for t in comps)
+def _tagged(vectors, rank: int, enc: _Encoding) -> list:
+    """The (terms, L) vectors with input i tagged: its terms followed by the
+    constant L at position rank + i, so that the tag part of any element
+    built from them records it in the inputs."""
+    zero = (0,) * enc.nvars
+    return [v + [(*enc.term(rank + i, zero), scale)]
+            for i, (v, scale) in enumerate(vectors)]
 
 
-def _axpy(acc: dict, c, shift, src: dict):
-    """acc += c * x^shift * src on representation dicts, dropping
-    cancellations."""
-    for (pos, m), cc in src.items():
-        key = (pos, _mono_add(shift, m))
-        s = acc.get(key, 0) + c * cc
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
-def _scale(v: dict, c: Fraction) -> dict:
-    return {t: cc * c for t, cc in v.items()}
+def _tag_part(v: list, rank: int, enc: _Encoding) -> list:
+    """The tag terms of v moved down by rank positions: a vector in the
+    free module of the inputs."""
+    top = rank << enc.pos_bits
+    dk = rank * enc.pos_key
+    return [(k + dk, p - top, c) for k, p, c in v if p >= top]
 
 
 def _primitive(v: list):
@@ -350,47 +344,51 @@ def _primitive(v: list):
 
 
 class _Basis:
-    """Working Groebner basis with optional input tags.
+    """Working Groebner basis in a free module of the given rank.
 
     Elements are term lists [(key, pack, coeff)] sorted by falling key, with
     integer coefficients, primitive and with a positive lead. lpacks[i] is
-    the pack of the lead of elems[i], for the divisor search in nf. reps[i],
-    when tracked, is a dict {(input_idx, mono): Fraction} with
-    elems[i] = sum of rep * input.
+    the pack of the lead of elems[i], for the divisor search in nf. Terms at
+    positions from rank on are tags (see _tagged): when the inputs are
+    tagged, an element [b | rho] has b = sum_i rho_i * input_i. Tags sort
+    below every other term, and no lead is a tag. sizes[i] counts the terms
+    of elems[i] below the tags, which is what the clock is charged for.
     """
 
-    __slots__ = ("ring", "enc", "elems", "lpacks", "sugars", "reps", "by_pos",
-                 "track")
+    __slots__ = ("ring", "enc", "rank", "elems", "lpacks", "sizes", "sugars",
+                 "by_pos")
 
-    def __init__(self, enc: _Encoding, track: bool):
+    def __init__(self, enc: _Encoding, rank: int):
         self.ring = enc.ring
         self.enc = enc
+        self.rank = rank
         self.elems = []
         self.lpacks = []
+        self.sizes = []
         self.sugars = []
-        self.reps = []       # dict {(input_idx, mono): coeff}
         self.by_pos = {}
-        self.track = track
 
-    def append(self, v: list, sugar: int, rep: dict | None, rep_scale=1):
-        """Store v primitive; rep * rep_scale represents v as given."""
+    def append(self, v: list, sugar: int):
+        """Store v primitive."""
         idx = len(self.elems)
         self.elems.append(None)
-        self.reps.append(None)
+        self.sizes.append(None)
         pack = v[0][1]
         self.lpacks.append(pack)
         self.sugars.append(sugar)
         self.by_pos.setdefault(pack >> self.enc.pos_bits, []).append(idx)
-        self.replace(idx, v, rep, rep_scale)
+        self.replace(idx, v)
         return idx
 
-    def replace(self, idx: int, v: list, rep: dict | None, rep_scale=1):
-        """Set element idx to v, which keeps its lead monomial."""
-        v, g = _primitive(v)
-        self.elems[idx] = v
-        if rep is not None and rep_scale != g:
-            rep = _scale(rep, Fraction(rep_scale, g))
-        self.reps[idx] = rep
+    def replace(self, idx: int, v: list):
+        """Set element idx to v primitive; v keeps its lead monomial."""
+        top = self.rank << self.enc.pos_bits
+        self.elems[idx] = _primitive(v)[0]
+        self.sizes[idx] = sum(1 for _k, p, _c in v if p < top)
+
+    def is_zero(self, v: list) -> bool:
+        """v has no term below the tags; as tags sort last, its lead tells."""
+        return not v or v[0][1] >> self.enc.pos_bits >= self.rank
 
     def lead(self, idx: int) -> tuple:
         """(pos, exponent tuple) of the lead term of elems[idx]."""
@@ -402,13 +400,12 @@ class _Basis:
         """Full normal form of v, fraction-free, with a heap of keys.
 
         v is an iterable of (key, pack, coeff) terms; equal keys add up.
-        Returns (remainder, quotients, sigma, sugar): the remainder is a term
-        list sorted by falling key, sigma a positive integer, and
-        quotients[i] a dict {pack of shift: Fraction} with
-        sigma * (v - sum_i quotients[i] * elems[i]) = remainder.
-        Each step r <- a*r - b*x^s*elems[i] cancels the lead c*x^m of r
-        against lc*x^lm with a = lc/gcd(c, lc), b = c/gcd(c, lc); it
-        multiplies sigma by a and adds b/sigma to the quotient.
+        Returns (remainder, sigma, sugar): the remainder is a term list
+        sorted by falling key and sigma a positive integer, with
+        sigma * v - remainder in the span of the elements. Each step
+        r <- a*r - b*x^s*elems[i] cancels the lead c*x^m of r against
+        lc*x^lm with a = lc/gcd(c, lc), b = c/gcd(c, lc), and multiplies
+        sigma by a. Tag terms are carried along and never reduced.
         """
         acc: dict = {}       # key -> coeff of the live remainder
         packs: dict = {}     # key -> pack, for every key seen
@@ -422,7 +419,6 @@ class _Basis:
         heap = [-k for k in acc]
         heapify(heap)
         out = []             # (key, pack, coeff, sigma when emitted)
-        quots: dict = {}
         sigma = 1
         guard = self.enc.guard
         pos_bits = self.enc.pos_bits
@@ -453,7 +449,7 @@ class _Basis:
             ks = k - lk
             s = p - lpacks[hit]
             if clock is not None:
-                clock.tick(len(elem))
+                clock.tick(self.sizes[hit])
             for kt, pt, ct in islice(elem, 1, None):
                 kk = ks + kt
                 cc = acc.get(kk)
@@ -467,23 +463,11 @@ class _Basis:
                         acc[kk] = cc
                     else:
                         del acc[kk]
-            q = quots.setdefault(hit, {})
-            q[s] = q.get(s, 0) + Fraction(b, sigma)
             if sugar is not None:
                 sugar = max(sugar, sum(self.enc.mono(s)) + self.sugars[hit])
         r = [(k, p, c if se == sigma else c * (sigma // se))
              for k, p, c, se in out]
-        return r, quots, sigma, sugar
-
-    def rep_of(self, quots: dict, scale=1, acc: dict | None = None) -> dict:
-        """acc + scale * sum_i quotients[i] * reps[i], in place."""
-        out = {} if acc is None else acc
-        mono = self.enc.mono
-        for idx, q in quots.items():
-            rep = self.reps[idx]
-            for s, c in q.items():
-                _axpy(out, scale * c, mono(s), rep)
-        return out
+        return r, sigma, sugar
 
 
 def _spair_parts(basis: _Basis, i: int, j: int):
@@ -495,18 +479,18 @@ def _spair_parts(basis: _Basis, i: int, j: int):
 
 def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock | None):
     """S-vector ai*x^ui*elems[i] - aj*x^uj*elems[j] of elements i and j, as
-    terms whose leads cancel (left out), with x^ui, x^uj and the integers
-    ai = cj/g, aj = ci/g it was built from, g = gcd(ci, cj)."""
+    terms whose leads cancel (left out), with x^ui and x^uj; ai = cj/g and
+    aj = ci/g for g = gcd(ci, cj)."""
     _lcm, ui, uj, ci, cj = _spair_parts(basis, i, j)
     g = gcd(ci, cj)
     ai, aj = cj // g, ci // g
     if clock is not None:
-        clock.tick(len(basis.elems[i]) + len(basis.elems[j]))
+        clock.tick(basis.sizes[i] + basis.sizes[j])
     kui, pui = basis.enc.term(0, ui)
     kuj, puj = basis.enc.term(0, uj)
     s = [(k + kui, p + pui, ai * c) for k, p, c in islice(basis.elems[i], 1, None)]
     s += [(k + kuj, p + puj, -aj * c) for k, p, c in islice(basis.elems[j], 1, None)]
-    return s, ui, uj, ai, aj
+    return s, ui, uj
 
 
 def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
@@ -551,24 +535,22 @@ def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     return kept
 
 
-def _buchberger(vectors, enc: _Encoding, clock: _Clock | None,
-                track: bool = False):
-    """Reduced Groebner basis of the given (terms, L) vectors.
+def _buchberger(vectors, rank: int, enc: _Encoding, clock: _Clock | None):
+    """Reduced Groebner basis of the given term lists, in rank positions.
 
-    Returns a _Basis whose elems are the reduced basis, sorted by leading
-    term, primitive; reps (when tracked) express each element in the inputs
-    v_i, where terms = L * v_i.
+    Terms at positions from rank on are tags (see _tagged) and ride along.
+    A remainder with no term below rank counts as zero, so no lead is ever
+    a tag. Returns a _Basis whose elems are the reduced basis, sorted by
+    leading term, primitive.
     """
-    basis = _Basis(enc, track)
-    top = 1 << enc.pos_bits
-    scalar = all(p < top for v, _l in vectors for _k, p, _c in v)
+    basis = _Basis(enc, rank)
+    scalar = rank == 1
     P: set = set()
-    for i, (v, scale) in enumerate(vectors):
-        if not v:
+    for v in vectors:
+        if basis.is_zero(v):
             continue
         sugar = max(sum(enc.mono(p)) for _k, p, _c in v)
-        rep = {(i, (0,) * enc.nvars): Fraction(scale)} if track else None
-        t = basis.append(v, sugar, rep)
+        t = basis.append(v, sugar)
         P = _update_pairs(P, basis, t, scalar)
 
     def pair_rank(pair):
@@ -580,18 +562,12 @@ def _buchberger(vectors, enc: _Encoding, clock: _Clock | None,
     while P:
         i, j = min(P, key=pair_rank)
         P.discard((i, j))
-        s, ui, uj, ai, aj = _s_vector(basis, i, j, clock)
+        s, ui, uj = _s_vector(basis, i, j, clock)
         sugar0 = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
-        r, quots, sigma, sugar = basis.nf(s, clock, sugar=sugar0)
-        if not r:
+        r, _sigma, sugar = basis.nf(s, clock, sugar=sugar0)
+        if basis.is_zero(r):
             continue
-        rep = None
-        if track:
-            rep = {}
-            _axpy(rep, ai, ui, basis.reps[i])
-            _axpy(rep, -aj, uj, basis.reps[j])
-            basis.rep_of(quots, -1, rep)
-        t = basis.append(r, sugar, rep, sigma)
+        t = basis.append(r, sugar)
         P = _update_pairs(P, basis, t, scalar)
     return _reduce_basis(basis, clock)
 
@@ -613,17 +589,12 @@ def _reduce_basis(basis: _Basis, clock: _Clock | None) -> _Basis:
                 break
         if not redundant:
             kept.append(i)
-    out = _Basis(basis.enc, basis.track)
+    out = _Basis(basis.enc, basis.rank)
     # stage the kept elements, then tail-reduce each against the others
     for i in kept:
-        out.append(basis.elems[i], basis.sugars[i],
-                   None if not basis.track else dict(basis.reps[i]))
+        out.append(basis.elems[i], basis.sugars[i])
     for idx in range(len(out.elems)):
-        r, quots, sigma, _ = out.nf(out.elems[idx], clock, skip=idx)
-        rep = out.reps[idx]
-        if out.track:
-            out.rep_of(quots, -1, rep)
-        out.replace(idx, r, rep, sigma)
+        out.replace(idx, out.nf(out.elems[idx], clock, skip=idx)[0])
     return out
 
 
@@ -649,8 +620,9 @@ def _gb(I: IdealBasis, order=None, track: bool = False,
             return hit
     clock = _Clock(budget or DEFAULT_BUDGET, "groebner basis")
     enc = _Encoding(ring)
-    basis = _buchberger([_poly_to_vec(g, enc) for g in I.generators], enc,
-                        clock, track=track)
+    vecs = [_poly_to_vec(g, enc) for g in I.generators]
+    vecs = _tagged(vecs, 1, enc) if track else [v for v, _l in vecs]
+    basis = _buchberger(vecs, 1, enc, clock)
     I._cache[key] = basis
     return basis
 
@@ -667,8 +639,10 @@ def _module_gb(M: ModuleBasis, track: bool = False,
             return hit
     clock = _Clock(budget or DEFAULT_BUDGET, "module groebner basis")
     enc = _Encoding(M.ring)
-    basis = _buchberger(_vecs_from_columns(M.generators, enc), enc, clock,
-                        track=track)
+    rank = M.ambient_rank
+    vecs = _vecs_from_columns(M.generators, enc)
+    vecs = _tagged(vecs, rank, enc) if track else [v for v, _l in vecs]
+    basis = _buchberger(vecs, rank, enc, clock)
     M._cache[key] = basis
     return basis
 
@@ -690,7 +664,7 @@ def normal_form(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> P
         raise ValueError("mismatched rings")
     basis = _gb(I, budget=budget)
     v, scale = _poly_to_vec(p, basis.enc)
-    r, _q, sigma, _s = basis.nf(v, None)
+    r, sigma, _s = basis.nf(v, None)
     return _terms_to_polys(r, 1, basis.enc, sigma * scale)[0]
 
 
@@ -704,13 +678,14 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
     basis = _gb(I, track=True, budget=budget)
-    v, scale = _poly_to_vec(p, basis.enc)
-    r, quots, _sigma, _s = basis.nf(v, None)
-    if r:
+    enc = basis.enc
+    v, scale = _poly_to_vec(p, enc)
+    r, sigma, _s = basis.nf(v, None)
+    if not basis.is_zero(r):
         return None
-    rep = basis.rep_of(quots, Fraction(1, scale))
-    cof = _vec_to_polys(rep, len(I.generators), I.ring)
-    return list(cof)
+    # sigma*scale*p = -sum_i t_i * gen_i for the tag part t of r
+    return list(_terms_to_polys(_tag_part(r, 1, enc), len(I.generators), enc,
+                                -sigma * scale))
 
 
 def _lt_generators(I: IdealBasis, budget: Budget | None = None):
@@ -838,7 +813,7 @@ def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> Ide
     gens += [(elim.one() - t) * up(g) for g in J.generators]
     clock = _Clock(budget or DEFAULT_BUDGET, "intersection")
     enc = _Encoding(elim)
-    basis = _buchberger([_poly_to_vec(g, enc) for g in gens], enc, clock)
+    basis = _buchberger([_poly_to_vec(g, enc)[0] for g in gens], 1, enc, clock)
     out = []
     for v in basis.elems:
         (p,) = _terms_to_polys(v, 1, enc, v[0][2])
@@ -888,9 +863,8 @@ def _prune(candidates, grading, enc: _Encoding, clock: _Clock) -> list:
     decides membership in degree d. A candidate is kept when its normal
     form is nonzero, and that normal form joins the basis.
     """
-    basis = _Basis(enc, False)
-    top = 1 << enc.pos_bits
-    scalar = all(p < top for _d, v in candidates for _k, p, _c in v)
+    basis = _Basis(enc, len(grading))
+    scalar = len(grading) == 1
     P: set = set()
 
     def pair_rank(pair):
@@ -909,12 +883,12 @@ def _prune(candidates, grading, enc: _Encoding, clock: _Clock) -> list:
             P.discard((i, j))
             r = basis.nf(_s_vector(basis, i, j, clock)[0], clock)[0]
             if r:
-                t = basis.append(r, rank[0], None)
+                t = basis.append(r, rank[0])
                 P = _update_pairs(P, basis, t, scalar)
         r = basis.nf(v, clock)[0]
         if r:
             kept.append(k)
-            t = basis.append(r, d, None)
+            t = basis.append(r, d)
             P = _update_pairs(P, basis, t, scalar)
     return kept
 
@@ -936,7 +910,7 @@ def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasi
 def module_normal_form(vector, M: ModuleBasis, budget: Budget | None = None):
     basis = _module_gb(M, budget=budget)
     ((v, scale),) = _vecs_from_columns([vector], basis.enc)
-    r, _q, sigma, _s = basis.nf(v, None)
+    r, sigma, _s = basis.nf(v, None)
     return _terms_to_polys(r, M.ambient_rank, basis.enc, sigma * scale)
 
 
@@ -970,13 +944,17 @@ def vector_degree(vector, shifts):
 def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     """Generating set of the first syzygy module of the ordered generators.
 
-    Schreyer-style: replay the Gebauer-Moller pair update over the tracked
-    reduced basis, with the coprime shortcut off, and reduce each surviving
-    S-pair to zero to read off its relation. The surviving pairs generate
-    the syzygies of the lead terms, so by Schreyer's theorem their lifts
-    generate the syzygies of the basis. Push the relations through the
-    tracked representations, and add the rows of (Id - B*A) that witness
-    how each input reduces to the basis. Zero rows are dropped.
+    Schreyer-style, on the Groebner basis of the tagged inputs [F | I]: each
+    input carries a tag that records it, so every basis element [b | rho]
+    has b = sum_i rho_i * input_i. Replay the Gebauer-Moller pair update
+    over that basis, with the coprime shortcut off, and reduce each
+    surviving S-pair: nothing below the tags remains, and the tag part of
+    the remainder is a relation. The surviving pairs generate the syzygies
+    of the lead terms, so by Schreyer's theorem these relations generate
+    the syzygies of the basis. The tag parts of the reduced tagged inputs
+    add the rows of (Id - B*A) that witness how each input reduces to the
+    basis. Zero rows are dropped, and the rest are returned monic and
+    without repeats, sorted by (degree, lead, support).
     """
     # started before the tracked basis, so the whole step keeps to its seconds
     clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
@@ -1002,49 +980,36 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
-    key = _pot_key(ring)
-    syz_vecs = []
+    enc, rank = tracked.enc, tracked.rank
+    rels = []
     pairs: set = set()
     for k in range(len(tracked.elems)):
         pairs = _update_pairs(pairs, tracked, k, scalar=False)
-    # relations among the basis elements, composed down to the inputs
+    # relations among the basis elements, read in the inputs from the tags
     for i, j in sorted(pairs):
-        s, ui, uj, ai, aj = _s_vector(tracked, i, j, clock)
-        r, quots, _sigma, _s = tracked.nf(s, clock)
-        if r:
-            raise RuntimeError("S-pair of a Groebner basis did not vanish")
-        rel: dict = {}
-        _axpy(rel, ai, ui, tracked.reps[i])
-        _axpy(rel, -aj, uj, tracked.reps[j])
-        tracked.rep_of(quots, -1, rel)
-        if rel:
-            syz_vecs.append(rel)
+        r = tracked.nf(_s_vector(tracked, i, j, clock)[0], clock)[0]
+        if not tracked.is_zero(r):
+            raise RuntimeError("S-pair of a Groebner basis: a term below rank remains")
+        rels.append(r)
     # rows of (Id - B*A): how each input reduces over the basis
-    vec_inputs = _vecs_from_columns(inputs, tracked.enc)
-    for i, (v, scale) in enumerate(vec_inputs):
-        r, quots, _sigma, _s = tracked.nf(v, clock)
-        if r:
-            raise RuntimeError("input does not reduce to zero over its basis")
-        rel = {(i, (0,) * ring.nvars): Fraction(scale)}
-        tracked.rep_of(quots, -1, rel)
-        if rel:
-            syz_vecs.append(rel)
+    for v in _tagged(_vecs_from_columns(inputs, enc), rank, enc):
+        r = tracked.nf(v, clock)[0]
+        if not tracked.is_zero(r):
+            raise RuntimeError("input over its basis: a term below rank remains")
+        rels.append(r)
     # normalize, dedupe, sort
-    out = []
-    seen = set()
-    for v in syz_vecs:
-        lt = max(v, key=key)
-        vv = _scale(v, Fraction(1) / v[lt])
-        tag = frozenset(vv.items())
-        if tag not in seen:
-            seen.add(tag)
-            out.append(vv)
+    out = {}
+    for r in rels:
+        if r:
+            v = _primitive(_tag_part(r, rank, enc))[0]
+            out.setdefault(tuple(v), v)
+
     def syz_rank(v):
-        lt = max(v, key=key)
-        deg = max(sum(m) for (_p, m) in v)
-        return (deg, key(lt), sorted(v))
-    out.sort(key=syz_rank)
-    cols = [_vec_to_polys(v, n, ring) for v in out]
+        support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
+        return (max(sum(m) for _pos, m in support), v[0][0], support)
+
+    cols = [_terms_to_polys(v, n, enc, v[0][2])
+            for v in sorted(out.values(), key=syz_rank)]
     return ModuleBasis(n, cols, ring=ring, grading=grading)
 
 

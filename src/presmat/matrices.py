@@ -202,34 +202,10 @@ def det(M: PolyMatrix) -> Polynomial:
     n = M.rows
     if n <= 3:
         return _det_small(M.entries)
-    ring = M.ring
-    a = [list(row) for row in M.entries]
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        pivot_row = None
-        best = None
-        for i in range(k, n):
-            p = a[i][k]
-            if p:
-                r = _degree_rank(p)
-                if best is None or r < best:
-                    best, pivot_row = r, i
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                num = pk * a[i][j] - aik * a[k][j]
-                a[i][j] = exact_div(num, prev) if num else ring.zero()
-            a[i][k] = ring.zero()
-        prev = pk
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
+    a, pivots, sign = _eliminate(M.entries, M.ring, jordan=False)
+    if len(pivots) < n:
+        return M.ring.zero()
+    return a[-1][-1] if sign == 1 else -a[-1][-1]
 
 
 def minor(M: PolyMatrix, rows, cols) -> Polynomial:

@@ -1,13 +1,16 @@
 """CLI tests: JSON envelopes, exit statuses, fixtures, budgets."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import presmat
 from presmat.cli import (
     BUDGET_ENV,
     EXIT_ERROR,
@@ -329,10 +332,14 @@ def test_text_format(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child process imports the same presmat as this one
+    src = str(Path(presmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "presmat.cli", "betti-classify",
          "--homogeneous", "5", "3", "4"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["verdict"] == "Essential"

@@ -40,7 +40,7 @@ from presmat import (
     verify_exactness,
 )
 from presmat import groebner as engine
-from presmat.groebner import module_minimal_generators
+from presmat.groebner import module_minimal_generators, module_normal_form
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -319,24 +319,23 @@ def shifted_terms(enc, a, u, terms):
     return [(k + ku, p + pu, a * c) for k, p, c in terms]
 
 
-def lift_quotients(rel, quots, tracked):
-    """rel -= sum of quotient * rep over the tracked basis."""
-    for idx, q in quots.items():
-        for shift, c in q.items():
-            engine._axpy(rel, -c, tracked.enc.mono(shift), tracked.reps[idx])
+def tag_polys(v, rank, n, enc):
+    """The tag part of the engine vector v, as n polynomials."""
+    return engine._terms_to_polys(engine._tag_part(v, rank, enc), n, enc)
 
 
 def all_pairs_syzygies(F):
     """Reference syzygies: lift every same-position S-pair of the tracked
     basis, with no pair criteria, plus the rows of (Id - B*A)."""
     if isinstance(F, IdealBasis):
-        inputs = [(g,) for g in F.generators]
+        inputs, rank = [(g,) for g in F.generators], 1
         tracked = engine._gb(IdealBasis(F.generators, ring=F.ring), track=True)
     else:
-        inputs = list(F.generators)
+        inputs, rank = list(F.generators), F.ambient_rank
         tracked = engine._module_gb(
             ModuleBasis(F.ambient_rank, F.generators, ring=F.ring), track=True)
-    ring, n, enc = F.ring, len(inputs), tracked.enc
+    n, enc = len(inputs), tracked.enc
+    top = rank << enc.pos_bits
     rels = []
     for i in range(len(tracked.elems)):
         for j in range(i + 1, len(tracked.elems)):
@@ -346,21 +345,15 @@ def all_pairs_syzygies(F):
             # cj*x^ui*e_i - ci*x^uj*e_j, whole elements: the leads cancel in nf
             s = shifted_terms(enc, cj, ui, tracked.elems[i])
             s += shifted_terms(enc, -ci, uj, tracked.elems[j])
-            r, quots, _sigma, _sugar = tracked.nf(s, None)
-            assert not r
-            rel = {}
-            engine._axpy(rel, cj, ui, tracked.reps[i])
-            engine._axpy(rel, -ci, uj, tracked.reps[j])
-            lift_quotients(rel, quots, tracked)
-            rels.append(rel)
-    for i, (v, scale) in enumerate(engine._vecs_from_columns(inputs, enc)):
-        r, quots, _sigma, _sugar = tracked.nf(v, None)
-        assert not r
-        rel = {(i, (0,) * ring.nvars): Fraction(scale)}
-        lift_quotients(rel, quots, tracked)
-        rels.append(rel)
-    cols = [engine._vec_to_polys(rel, n, ring) for rel in rels if rel]
-    return ModuleBasis(n, cols, ring=ring)
+            r, _sigma, _sugar = tracked.nf(s, None)
+            assert all(p >= top for _k, p, _c in r)  # nothing below rank is left
+            rels.append(r)
+    for v in engine._tagged(engine._vecs_from_columns(inputs, enc), rank, enc):
+        r, _sigma, _sugar = tracked.nf(v, None)
+        assert all(p >= top for _k, p, _c in r)
+        rels.append(r)
+    cols = [tag_polys(r, rank, n, enc) for r in rels if r]
+    return ModuleBasis(n, cols, ring=F.ring)
 
 
 def random_vector_module(rng, ring, rank, count):
@@ -702,26 +695,29 @@ def test_encoding_orders_and_divides_like_the_ring():
         engine._Encoding(XYZ).term(0, (1 << 31, 0, 0))
 
 
-def check_nf_identity(basis, v, rank):
-    """sigma*v = sum_i sigma*q_i*e_i + r exactly, with r fully reduced."""
-    enc, ring = basis.enc, basis.ring
-    r, quots, sigma, _sugar = basis.nf(v, None)
+def check_nf_identity(basis, v, rank, columns):
+    """sigma*v + sum_i t_i*input_i = r below rank exactly, for the tag part
+    t of r, with r fully reduced; and every element [b | rho] of the basis
+    has b = sum_i rho_i*input_i."""
+    enc, ring, n = basis.enc, basis.ring, len(columns)
+    inputs = [[col[pos] for col in columns] for pos in range(rank)]
+    for elem in basis.elems:
+        rho = tag_polys(elem, rank, n, enc)
+        b = engine._terms_to_polys(elem, rank, enc)
+        assert list(b) == [combine(rho, inputs[pos], ring) for pos in range(rank)]
+    r, sigma, _sugar = basis.nf(v, None)
     assert isinstance(sigma, int) and sigma > 0
     assert all(isinstance(c, int) for _k, _p, c in r)
-    lhs = [p * sigma for p in engine._terms_to_polys(v, rank, enc)]
-    rhs = list(engine._terms_to_polys(r, rank, enc))
-    for idx, q in quots.items():
-        quotient = ring.zero()
-        for shift, c in q.items():
-            assert isinstance(c, Fraction)
-            quotient = quotient + ring.monomial(enc.mono(shift), c)
-        for pos, comp in enumerate(engine._terms_to_polys(basis.elems[idx], rank, enc)):
-            rhs[pos] = rhs[pos] + quotient * comp * sigma
-    assert lhs == rhs
+    t = tag_polys(r, rank, n, enc)
+    lhs = [p * sigma + combine(t, inputs[pos], ring)
+           for pos, p in enumerate(engine._terms_to_polys(v, rank, enc))]
+    assert lhs == list(engine._terms_to_polys(r, rank, enc))
+    leads = list(map(basis.lead, range(len(basis.elems))))
+    assert all(lp < rank for lp, _lm in leads)
     for _k, pack, _c in r:
         pos, m = pack >> enc.pos_bits, enc.mono(pack)
         assert not any(lp == pos and all(a <= b for a, b in zip(lm, m))
-                       for lp, lm in map(basis.lead, range(len(basis.elems))))
+                       for lp, lm in leads)
     return sigma
 
 
@@ -756,9 +752,10 @@ def test_nf_is_exact_and_fraction_free():
         for probe, is_member in probes:
             ((v, scale),) = engine._vecs_from_columns([probe], basis.enc)
             scales.append(scale)
-            sigmas.append(check_nf_identity(basis, v, rank))
+            sigmas.append(check_nf_identity(basis, v, rank, columns))
             if is_member:
-                assert not basis.nf(v, None)[0]
+                top = rank << basis.enc.pos_bits
+                assert all(p >= top for _k, p, _c in basis.nf(v, None)[0])
             if rank == 1:
                 cof = member_with_cofactors(probe[0], F)
                 if is_member:
@@ -769,6 +766,109 @@ def test_nf_is_exact_and_fraction_free():
     assert max(leads) > 1     # non-unit integer leads
     assert max(sigmas) > 1    # the a != 1 step ran
     assert max(scales) > 1    # denominators were cleared
+
+
+def fresh(F):
+    """A copy of the ideal or module F with an empty basis cache."""
+    if isinstance(F, IdealBasis):
+        return IdealBasis(F.generators, ring=F.ring)
+    return ModuleBasis(F.ambient_rank, F.generators, ring=F.ring, grading=F.grading)
+
+
+def seeded_cases(rng, count):
+    """Alternately an ideal and a module over XYZ, with denominators."""
+    cases = []
+    for trial in range(count):
+        if trial % 2 == 0:
+            gens = [rational_form(rng, XYZ, rng.choice((1, 2, 2, 3)))
+                    for _ in range(rng.randint(2, 4))]
+            cases.append(IdealBasis(gens, ring=XYZ))
+        else:
+            rank = rng.randint(2, 3)
+            cases.append(ModuleBasis(rank, [
+                tuple(rational_form(rng, XYZ, rng.randint(1, 2))
+                      if rng.random() < 0.8 else XYZ.zero() for _ in range(rank))
+                for _ in range(rng.randint(2, 4))], ring=XYZ))
+    return cases
+
+
+def test_tracking_adds_no_work_charge(monkeypatch):
+    # Tags ride along in every reduction of a tracked basis, but the clock
+    # is charged only for the terms below them: tracking costs no work.
+    charged = []
+    tick = engine._Clock.tick
+
+    def counting_tick(self, amount):
+        charged.append(amount)
+        return tick(self, amount)
+
+    monkeypatch.setattr(engine._Clock, "tick", counting_tick)
+    works = []
+    for F in seeded_cases(random.Random(101), 40):
+        gb = engine._gb if isinstance(F, IdealBasis) else engine._module_gb
+        rank = 1 if isinstance(F, IdealBasis) else F.ambient_rank
+        totals, bases = [], []
+        for track in (False, True):
+            del charged[:]
+            basis = gb(fresh(F), track=track)
+            totals.append((len(charged), sum(charged)))
+            bases.append([engine._terms_to_polys(v, rank, basis.enc, v[0][2])
+                          for v in basis.elems])
+        assert totals[0] == totals[1]
+        assert bases[0] == bases[1]
+        works.append(totals[0][1])
+    assert sum(w > 0 for w in works) >= 35
+
+
+def untracked_answers(F, probes):
+    if isinstance(F, IdealBasis):
+        return (groebner_basis(F).generators,
+                [normal_form(p, F) for p in probes],
+                [member(p, F) for p in probes],
+                [hilbert_function(F, d) for d in range(5)])
+    return ([module_normal_form(v, F) for v in probes],
+            [module_member(v, F) for v in probes])
+
+
+def tracked_answers(F, probes):
+    if isinstance(F, IdealBasis):
+        return (syzygies(F).generators,
+                [member_with_cofactors(p, F) for p in probes])
+    return syzygies(F).generators
+
+
+def test_tags_never_leak():
+    # A tracked basis is cached and answers untracked queries too. Whichever
+    # kind of query comes first on an object, the answers must equal those
+    # on a fresh object.
+    rng = random.Random(103)
+    cases = []
+    for _ in range(4):
+        gens = [random_form(rng, XYZ, rng.choice((2, 2, 3)), max_terms=4)
+                for _ in range(rng.randint(3, 4))]
+        cases.append(IdealBasis(gens, ring=XYZ))
+        cases.append(syzygies(IdealBasis(gens, ring=XYZ)))
+    for F in cases:
+        columns = [(g,) for g in F.generators] if isinstance(F, IdealBasis) \
+            else list(F.generators)
+        rank = len(columns[0])
+        probes = []
+        for _ in range(3):
+            coeffs = [random_form(rng, XYZ, rng.randint(1, 2)) for _ in columns]
+            inside = tuple(combine(coeffs, [col[pos] for col in columns], XYZ)
+                           for pos in range(rank))
+            outside = tuple(random_form(rng, XYZ, 3) for _ in range(rank))
+            probes += [inside, outside]
+        if isinstance(F, IdealBasis):
+            probes = [p for (p,) in probes]
+        first = fresh(F)
+        tracked_answers(first, probes)
+        assert untracked_answers(first, probes) == untracked_answers(fresh(F), probes)
+        # the tracked basis answered them: no untracked one was built
+        assert [key[-1] for key in first._cache] == [True]
+        second = fresh(F)
+        untracked_answers(second, probes)
+        assert tracked_answers(second, probes) == tracked_answers(fresh(F), probes)
 
 
 def test_reduced_basis_matches_sympy():
