@@ -210,6 +210,11 @@ def _status_exit(status: str) -> int:
     return EXIT_OK
 
 
+def _height_text(h):
+    """A height for JSON: the unit ideal's infinite height as "inf"."""
+    return "inf" if h == float("inf") else h
+
+
 def _resolution_payload(res) -> dict:
     payload = {
         "shifts": [list(s) for s in res.shifts],
@@ -232,10 +237,7 @@ def _cmd_gamma(args, budget):
     doc = _load_document(args.input)
     ring = _ring_from(doc)
     M = _matrix_from(doc, ring)
-    try:
-        vec = gamma(M, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    vec = gamma(M, budget=budget)
     result = {
         "gamma": _texts(vec),
         "column_subset": list(vec.column_subset),
@@ -254,7 +256,7 @@ def _check_payload(report) -> dict:
                             if report.gamma_transpose is not None else None),
         "cofactor_unit": (str(report.cofactor_unit)
                           if report.cofactor_unit is not None else None),
-        "height_of_row_ideal": report.height_J,
+        "height_of_row_ideal": _height_text(report.height_J),
     }
 
 
@@ -312,10 +314,7 @@ def _cmd_decompose(args, budget):
     doc = _load_document(args.input)
     ring = _ring_from(doc)
     B = _matrix_from(doc, ring)
-    try:
-        report = decompose(B, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = decompose(B, budget=budget)
     result = {
         "ideal": _texts(report.ideal.generators),
         "minor_ideal": _texts(report.y_ideal.generators),
@@ -333,10 +332,7 @@ def _cmd_decompose(args, budget):
 def _cmd_betti_classify(args, budget):
     if args.homogeneous is not None:
         n, a, b = args.homogeneous
-        try:
-            verdict = classify_homogeneous(n, a, b)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        verdict = classify_homogeneous(n, a, b)
         status, witness = _verdict_payload(verdict)
         result = {"status": status, "n": n, "a": a, "b": b}
         return status, result, witness, _status_exit(status)
@@ -353,10 +349,7 @@ def _cmd_betti_classify(args, budget):
 def _cmd_betti_reduce(args, budget):
     doc = _load_document(args.input)
     seq = _sequence_from(doc)
-    try:
-        residue, total, verdict = classify_gaeta_reduce(seq)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    residue, total, verdict = classify_gaeta_reduce(seq)
     status, witness = _verdict_payload(verdict)
     result = {
         "status": status,
@@ -375,7 +368,7 @@ def _cmd_betti_lift(args, budget):
         raise CliError('document needs "exponents": [u_1, ..., u_n]')
     try:
         lifted = lift(seq, exponents)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise CliError(str(exc)) from exc
     result = {
         "sequence": _sequence_dict(seq),
@@ -390,10 +383,7 @@ def _construct_homogeneous(doc, budget):
         n, a, b = int(doc["n"]), int(doc["a"]), int(doc["b"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError('homogeneous construction needs integer "n", "a", "b"') from exc
-    try:
-        verdict = classify_homogeneous(n, a, b)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = classify_homogeneous(n, a, b)
     status, witness = _verdict_payload(verdict)
     if status != ESSENTIAL:
         result = {"status": status, "n": n, "a": a, "b": b, "matrix": None}
@@ -420,10 +410,7 @@ def _construct_product(doc, budget):
         raise CliError('"cofactors" must list exactly three polynomials')
     h = [_poly(t, ring, "regular_triple[%d]" % i) for i, t in enumerate(triple)]
     g = [_poly(t, ring, "cofactors[%d]" % i) for i, t in enumerate(cofactors)]
-    try:
-        M, I, predicted = prop_bet(h, g, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    M, I, predicted = prop_bet(h, g, budget=budget)
     report = check_presentation(M, budget=budget)
     result = {
         "ring": list(ring.variables),
@@ -445,10 +432,7 @@ def _construct_lift(doc, budget):
     fresh = doc.get("fresh_vars")
     if not isinstance(exponents, list) or not isinstance(fresh, list):
         raise CliError('lift construction needs "exponents" and "fresh_vars"')
-    try:
-        lifted = lift_matrix(M, exponents, fresh, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    lifted = lift_matrix(M, exponents, fresh, budget=budget)
     result = {
         "ring": list(lifted.ring.variables),
         "matrix": _matrix_texts(lifted),
@@ -463,12 +447,9 @@ def _construct_star(doc, budget):
         left_t, right_t = int(doc["left_t"]), int(doc["right_t"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError('star construction needs integer "size", "left_t", "right_t"') from exc
-    try:
-        left = base_bidiagonal(n, left_t, ["x%d" % (i + 1) for i in range(n)])
-        right = base_bidiagonal(n, right_t, ["y%d" % (i + 1) for i in range(n)])
-        product = star_product(left, right, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    left = base_bidiagonal(n, left_t, ["x%d" % (i + 1) for i in range(n)])
+    right = base_bidiagonal(n, right_t, ["y%d" % (i + 1) for i in range(n)])
+    product = star_product(left, right, budget=budget)
     M = product.matrix()
     result = {
         "ring": list(M.ring.variables),
@@ -482,11 +463,8 @@ def _construct_star(doc, budget):
 def _construct_hilbert_burch(doc, budget):
     ring = _ring_from(doc)
     B = _matrix_from(doc, ring)
-    try:
-        data = HilbertBurchData(B, budget=budget)
-        I, M = hilbert_burch_ideal(data, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    data = HilbertBurchData(B, budget=budget)
+    I, M = hilbert_burch_ideal(data, budget=budget)
     z = zeta(M, budget=budget)
     result = {
         "ring": list(ring.variables),
@@ -506,10 +484,7 @@ def _construct_block_extension(doc, budget):
         t = int(doc["t"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError('block extension needs integer "t"') from exc
-    try:
-        M = nogaeta_extend((inner_matrix, inner_seq), outer_seq, t, budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    M = nogaeta_extend((inner_matrix, inner_seq), outer_seq, t, budget=budget)
     result = {
         "ring": list(M.ring.variables),
         "matrix": _matrix_texts(M),
@@ -568,7 +543,7 @@ def _scenario_matrix_check(doc, budget, timings):
         "checks": checks,
         "gamma": _texts(vec),
         "failure_reason_of_transpose": transposed.failure_reason,
-        "height_of_transposed_row_ideal": transposed.height_J,
+        "height_of_transposed_row_ideal": _height_text(transposed.height_J),
     }
     return checks, result
 
@@ -725,16 +700,17 @@ def _input_digest(args) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
+    # strict JSON (RFC 8259): no NaN or Infinity
+    dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report, indent=2))
         return
     print("command: %s" % report["command"])
     print("verdict: %s" % report["verdict"])
     for key in sorted(report["result"]):
-        print("  %s: %s" % (key, json.dumps(report["result"][key],
-                                            sort_keys=True)))
+        print("  %s: %s" % (key, dumps(report["result"][key])))
     if report["witness"]:
-        print("witness: %s" % json.dumps(report["witness"], sort_keys=True))
+        print("witness: %s" % dumps(report["witness"]))
     print("seconds: %s" % report["timings"]["total_seconds"])
 
 
@@ -756,7 +732,9 @@ def main(argv=None) -> int:
         else:
             verdict, result, witness, code = \
                 _HANDLERS[args.command](args, budget)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # ValueError covers the library's input errors, ParseError and
+        # UnitIdealError included
         result = {"error": str(exc)}
     except BudgetExceeded as exc:
         result = {"error": str(exc), "budget_exceeded": True}

@@ -2,26 +2,29 @@
 height, Hilbert functions, intersection/quotient, module bases, syzygies,
 and minimal graded free resolutions.
 
-One engine serves ideals and submodules of free modules; scalar
-polynomials are the rank-1 case. The module order is position-over-term
-(e_0 > e_1 > ...) refined by the ring order. Internally the engine is
-fraction-free: an element is a list of (key, pack, coefficient) terms with
-integer coefficients, where key and pack are integers linear in the
-exponents (see _Encoding), and basis elements are kept primitive. Normal
-forms reduce a heap of keys by r <- a*r - b*x^s*g and report the integer
-scale they applied. Inputs are cleared of denominators on the way in, and
-results are divided back on the way out, so callers see the same Fraction
-polynomials, monic where a reduced basis is returned. Buchberger runs with the
-Gebauer-Moller pair criteria and sugar-degree selection; the coprime-lead
-shortcut applies only in rank 1, where it is valid. Representations of
-basis elements in terms of the input generators are tracked on demand by
-the basis of the augmented module [F | I]: input i carries one tag term
-at position rank + i, below every real position, so each element's
-representation is the tail of its own term list, kept by the same integer
-arithmetic. That yields membership cofactors and Schreyer-style syzygies;
-the syzygies lift only the pairs that survive the Gebauer-Moller criteria.
-Minimal generators of ideals and graded modules come from one incremental
-Buchberger per call, truncated at the degree of the candidate under test.
+One engine serves ideals and submodules of free modules, and so does the
+API above it: an IdealBasis is the rank-1 module of its generators, with
+columns (g,) and grading (0,), so every basis, normal form, syzygy and prune
+runs on the columns of a ModuleBasis or an IdealBasis alike. The module
+order is position-over-term (e_0 > e_1 > ...) refined by the ring order.
+Internally the engine is fraction-free: an element is a list of (key, pack,
+coefficient) terms with integer coefficients, where key and pack are
+integers linear in the exponents (see _Encoding), and basis elements are
+kept primitive. Normal forms reduce a heap of keys by r <- a*r - b*x^s*g and
+report the integer scale they applied. Inputs are cleared of denominators
+on the way in, and results are divided back on the way out, so callers see
+the same Fraction polynomials, monic where a reduced basis is returned.
+Buchberger runs with the Gebauer-Moller pair criteria and sugar-degree
+selection; the coprime-lead shortcut applies only in rank 1, where it is
+valid. Representations of basis elements in terms of the input generators
+are tracked on demand by the basis of the augmented module [F | I]: input i
+carries one tag term at position rank + i, below every real position, so
+each element's representation is the tail of its own term list, kept by the
+same integer arithmetic. That yields membership cofactors and
+Schreyer-style syzygies; the syzygies lift only the pairs that survive the
+Gebauer-Moller criteria. Minimal generators of ideals and graded modules
+come from one incremental Buchberger per call, truncated at the degree of
+the candidate under test.
 """
 
 from __future__ import annotations
@@ -89,9 +92,15 @@ class _Clock:
 # -- containers ---------------------------------------------------------------
 
 class IdealBasis:
-    """Ordered generators of an ideal, with a per-order reduced-basis cache."""
+    """Ordered generators of an ideal, with a per-order reduced-basis cache.
+
+    The ideal is also the rank-1 module of its generators: ambient_rank 1,
+    grading (0,), and one column (g,) per generator.
+    """
 
     __slots__ = ("ring", "generators", "_cache")
+    ambient_rank = 1
+    grading = (0,)
 
     def __init__(self, generators, ring: RingContext | None = None):
         generators = tuple(generators)
@@ -105,6 +114,10 @@ class IdealBasis:
         self.ring = ring
         self.generators = generators
         self._cache = {}
+
+    @property
+    def columns(self):
+        return tuple((g,) for g in self.generators)
 
     def __eq__(self, other):
         return (isinstance(other, IdealBasis) and self.ring == other.ring
@@ -137,6 +150,10 @@ class ModuleBasis:
         self.generators = generators
         self.grading = None if grading is None else tuple(grading)
         self._cache = {}
+
+    @property
+    def columns(self):
+        return self.generators
 
     def __repr__(self):
         return (f"ModuleBasis(rank {self.ambient_rank}, "
@@ -276,12 +293,6 @@ def _mono_sub(a, b):
 
 def _mono_add(a, b):
     return tuple(map(add, a, b))
-
-
-def _poly_to_vec(p: Polynomial, enc: _Encoding):
-    """(terms, L): the integer terms of L*p, sorted by falling key, with L
-    the least common denominator of p's coefficients."""
-    return _vecs_from_columns([(p,)], enc)[0]
 
 
 def _vecs_from_columns(vs, enc: _Encoding) -> list:
@@ -606,44 +617,28 @@ def _ring_with_order(ring: RingContext, order) -> RingContext:
     return RingContext(ring.variables, order)
 
 
-def _gb(I: IdealBasis, order=None, track: bool = False,
-        budget: Budget | None = None) -> _Basis:
-    ring = _ring_with_order(I.ring, order)
+def _gb(F, track: bool = False, budget: Budget | None = None,
+        order=None) -> _Basis:
+    """Reduced basis of the columns of an IdealBasis or ModuleBasis, cached
+    on F; tracked bases carry the tags of the inputs (see _tagged)."""
+    ring = _ring_with_order(F.ring, order)
     key = ("gb", ring.order, track)
-    hit = I._cache.get(key)
+    hit = F._cache.get(key)
     if hit is not None:
         return hit
     if not track:
         # a tracked basis answers untracked queries too
-        hit = I._cache.get(("gb", ring.order, True))
+        hit = F._cache.get(("gb", ring.order, True))
         if hit is not None:
             return hit
-    clock = _Clock(budget or DEFAULT_BUDGET, "groebner basis")
+    rank = F.ambient_rank
+    label = "groebner basis" if rank == 1 else "module groebner basis"
+    clock = _Clock(budget or DEFAULT_BUDGET, label)
     enc = _Encoding(ring)
-    vecs = [_poly_to_vec(g, enc) for g in I.generators]
-    vecs = _tagged(vecs, 1, enc) if track else [v for v, _l in vecs]
-    basis = _buchberger(vecs, 1, enc, clock)
-    I._cache[key] = basis
-    return basis
-
-
-def _module_gb(M: ModuleBasis, track: bool = False,
-               budget: Budget | None = None) -> _Basis:
-    key = ("gb", track)
-    hit = M._cache.get(key)
-    if hit is not None:
-        return hit
-    if not track:
-        hit = M._cache.get(("gb", True))
-        if hit is not None:
-            return hit
-    clock = _Clock(budget or DEFAULT_BUDGET, "module groebner basis")
-    enc = _Encoding(M.ring)
-    rank = M.ambient_rank
-    vecs = _vecs_from_columns(M.generators, enc)
+    vecs = _vecs_from_columns(F.columns, enc)
     vecs = _tagged(vecs, rank, enc) if track else [v for v, _l in vecs]
     basis = _buchberger(vecs, rank, enc, clock)
-    M._cache[key] = basis
+    F._cache[key] = basis
     return basis
 
 
@@ -652,7 +647,7 @@ def _module_gb(M: ModuleBasis, track: bool = False,
 def groebner_basis(I: IdealBasis, order=None, budget: Budget | None = None) -> IdealBasis:
     """Reduced Groebner basis of I; deterministic for a fixed order."""
     ring = _ring_with_order(I.ring, order)
-    basis = _gb(I, order, budget=budget)
+    basis = _gb(I, budget=budget, order=order)
     polys = [_terms_to_polys(v, 1, basis.enc, v[0][2])[0] for v in basis.elems]
     out = IdealBasis(polys, ring=ring)
     out._cache[("gb", ring.order, False)] = basis
@@ -662,10 +657,7 @@ def groebner_basis(I: IdealBasis, order=None, budget: Budget | None = None) -> I
 def normal_form(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> Polynomial:
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
-    basis = _gb(I, budget=budget)
-    v, scale = _poly_to_vec(p, basis.enc)
-    r, sigma, _s = basis.nf(v, None)
-    return _terms_to_polys(r, 1, basis.enc, sigma * scale)[0]
+    return module_normal_form((p,), I, budget=budget)[0]
 
 
 def member(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> bool:
@@ -679,7 +671,7 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
         raise ValueError("mismatched rings")
     basis = _gb(I, track=True, budget=budget)
     enc = basis.enc
-    v, scale = _poly_to_vec(p, enc)
+    ((v, scale),) = _vecs_from_columns([(p,)], enc)
     r, sigma, _s = basis.nf(v, None)
     if not basis.is_zero(r):
         return None
@@ -813,7 +805,8 @@ def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> Ide
     gens += [(elim.one() - t) * up(g) for g in J.generators]
     clock = _Clock(budget or DEFAULT_BUDGET, "intersection")
     enc = _Encoding(elim)
-    basis = _buchberger([_poly_to_vec(g, enc)[0] for g in gens], 1, enc, clock)
+    vecs = _vecs_from_columns([(g,) for g in gens], enc)
+    basis = _buchberger([v for v, _l in vecs], 1, enc, clock)
     out = []
     for v in basis.elems:
         (p,) = _terms_to_polys(v, 1, enc, v[0][2])
@@ -893,22 +886,35 @@ def _prune(candidates, grading, enc: _Encoding, clock: _Clock) -> list:
     return kept
 
 
+def _minimal_indices(F, label: str, budget: Budget | None) -> list:
+    """Indices of a minimal generating subset of the columns of F, an
+    IdealBasis or a graded ModuleBasis, pruned in ascending (degree,
+    index) order; zero columns are dropped."""
+    columns = F.columns
+    degs = [vector_degree(v, F.grading) for v in columns]
+    order = sorted((i for i, d in enumerate(degs) if d is not None),
+                   key=lambda i: (degs[i], i))
+    clock = _Clock(budget or DEFAULT_BUDGET, label)
+    enc = _Encoding(F.ring)
+    vecs = _vecs_from_columns([columns[i] for i in order], enc)
+    kept = _prune([(degs[i], v) for i, (v, _l) in zip(order, vecs)],
+                  F.grading, enc, clock)
+    return [order[k] for k in kept]
+
+
 def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasis:
     """Degree-ascending prune to a minimal homogeneous generating set."""
     _require_homogeneous(I)
-    candidates = sorted((g for g in I.generators if not g.is_zero()),
-                        key=lambda g: g.degree())
-    clock = _Clock(budget or DEFAULT_BUDGET, "minimal generators")
-    enc = _Encoding(I.ring)
-    kept = _prune([(g.degree(), _poly_to_vec(g, enc)[0]) for g in candidates],
-                  (0,), enc, clock)
-    return IdealBasis([candidates[k] for k in kept], ring=I.ring)
+    kept = _minimal_indices(I, "minimal generators", budget)
+    return IdealBasis([I.generators[i] for i in kept], ring=I.ring)
 
 
 # -- module operations --------------------------------------------------------
 
-def module_normal_form(vector, M: ModuleBasis, budget: Budget | None = None):
-    basis = _module_gb(M, budget=budget)
+def module_normal_form(vector, M, budget: Budget | None = None):
+    """Normal form of the vector over the columns of M, an IdealBasis or a
+    ModuleBasis."""
+    basis = _gb(M, budget=budget)
     ((v, scale),) = _vecs_from_columns([vector], basis.enc)
     r, sigma, _s = basis.nf(v, None)
     return _terms_to_polys(r, M.ambient_rank, basis.enc, sigma * scale)
@@ -942,7 +948,8 @@ def vector_degree(vector, shifts):
 
 
 def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
-    """Generating set of the first syzygy module of the ordered generators.
+    """Generating set of the first syzygy module of the columns of F, an
+    IdealBasis or a ModuleBasis, graded by their degrees when F is graded.
 
     Schreyer-style, on the Groebner basis of the tagged inputs [F | I]: each
     input carries a tag that records it, so every basis element [b | rho]
@@ -956,27 +963,18 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     basis. Zero rows are dropped, and the rest are returned monic and
     without repeats, sorted by (degree, lead, support).
     """
+    if not isinstance(F, (IdealBasis, ModuleBasis)):
+        raise TypeError("syzygies expects an IdealBasis or ModuleBasis")
     # started before the tracked basis, so the whole step keeps to its seconds
     clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
-    if isinstance(F, IdealBasis):
-        ring = F.ring
-        inputs = [(g,) for g in F.generators]
-        grading = None
-        if all(g.is_homogeneous() for g in F.generators):
-            grading = [g.degree() if not g.is_zero() else 0 for g in F.generators]
-        tracked = _gb(F, track=True, budget=budget)
-    elif isinstance(F, ModuleBasis):
-        ring = F.ring
-        inputs = list(F.generators)
-        grading = None
-        if F.grading is not None:
-            try:
-                grading = [vector_degree(v, F.grading) or 0 for v in F.generators]
-            except ValueError:
-                grading = None
-        tracked = _module_gb(F, track=True, budget=budget)
-    else:
-        raise TypeError("syzygies expects an IdealBasis or ModuleBasis")
+    inputs = F.columns
+    grading = None
+    if F.grading is not None:
+        try:
+            grading = [vector_degree(v, F.grading) or 0 for v in inputs]
+        except ValueError:
+            grading = None
+    tracked = _gb(F, track=True, budget=budget)
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
@@ -1010,22 +1008,15 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
 
     cols = [_terms_to_polys(v, n, enc, v[0][2])
             for v in sorted(out.values(), key=syz_rank)]
-    return ModuleBasis(n, cols, ring=ring, grading=grading)
+    return ModuleBasis(n, cols, ring=F.ring, grading=grading)
 
 
 def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> ModuleBasis:
     """Degree-ascending prune of homogeneous vector generators."""
     if M.grading is None:
         raise ValueError("minimal module generators need a grading")
-    degs = [vector_degree(v, M.grading) for v in M.generators]
-    order = sorted((i for i, d in enumerate(degs) if d is not None),
-                   key=lambda i: (degs[i], i))
-    enc = _Encoding(M.ring)
-    vecs = _vecs_from_columns([M.generators[i] for i in order], enc)
-    clock = _Clock(budget or DEFAULT_BUDGET, "minimal module generators")
-    kept = _prune([(degs[i], v) for i, (v, _l) in zip(order, vecs)],
-                  M.grading, enc, clock)
-    return ModuleBasis(M.ambient_rank, [M.generators[order[k]] for k in kept],
+    kept = _minimal_indices(M, "minimal module generators", budget)
+    return ModuleBasis(M.ambient_rank, [M.generators[i] for i in kept],
                        ring=M.ring, grading=M.grading)
 
 
@@ -1036,13 +1027,14 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     """Minimal graded free resolution of R/I, up to max_length maps.
 
     Built by iterated syzygies with minimal-generator pruning at every
-    step, so each map already has entries in the maximal ideal; a final
-    minimalize pass is run anyway as a guard. The shifts are the graded
-    Betti numbers and do not depend on the generators chosen; the maps are
-    one valid choice, fixed by the Gebauer-Moller pairs of each syzygy step
-    and the greedy prune. The result is exact at every computed module
-    except possibly the leftmost one when the loop stops at max_length;
-    rerun with a larger bound to certify the tail.
+    step. Every map then has its entries in the maximal ideal: a syzygy
+    of a minimal homogeneous generating set with a nonzero constant entry
+    would make that generator redundant (graded Nakayama). The shifts are
+    the graded Betti numbers and do not depend on the generators chosen;
+    the maps are one valid choice, fixed by the Gebauer-Moller pairs of each
+    syzygy step and the greedy prune. The result is exact at every computed
+    module except possibly the leftmost one when the loop stops at
+    max_length; rerun with a larger bound to certify the tail.
     """
     _require_homogeneous(I)
     ring = I.ring
@@ -1061,10 +1053,9 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     maps = [PolyMatrix(ring, [list(gens)], row_shifts=(0,), col_shifts=shifts[0])]
     current = ModuleBasis(1, [(g,) for g in gens], ring=ring, grading=(0,))
     while len(maps) < max_length:
-        syz = syzygies(current if len(maps) > 1 else IdealBasis(gens, ring=ring),
-                       budget=remaining())
-        syz = ModuleBasis(syz.ambient_rank, syz.generators, ring=ring,
-                          grading=shifts[-1])
+        # syzygies grades its output by the degrees of current's columns,
+        # which are shifts[-1]
+        syz = syzygies(current, budget=remaining())
         syz = module_minimal_generators(syz, budget=remaining())
         if not syz.generators:
             break
@@ -1075,89 +1066,4 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
                                col_shifts=col_shifts))
         shifts.append(col_shifts)
         current = syz
-    res = GradedResolution(ring, maps, shifts, minimal=True)
-    return minimalize(res)
-
-
-def minimalize(res: GradedResolution) -> GradedResolution:
-    """Cancel unit entries until every map entry has zero constant term."""
-    ring = res.ring
-    maps = [[list(row) for row in m.entries] for m in res.maps]
-    shifts = [list(s) for s in res.shifts]
-    zero = ring.zero()
-
-    def find_unit():
-        for k in range(len(maps) - 1, 0, -1):  # never cancel into F_0 = R
-            m = maps[k]
-            for i in range(len(m)):
-                for j in range(len(m[0])):
-                    p = m[i][j]
-                    if p and p.is_constant():
-                        return k, i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j = hit
-        m = maps[k]
-        u = m[i][j]
-        ncols = len(m[0])
-        nrows = len(m)
-        # clear row i by column operations; mirror as row ops on maps[k+1]
-        coeffs = [exact_div(m[i][l], u) if m[i][l] else None
-                  for l in range(ncols)]
-        for l in range(ncols):
-            if l != j and coeffs[l] is not None:
-                for r_ in range(nrows):
-                    if m[r_][j]:
-                        m[r_][l] = m[r_][l] - coeffs[l] * m[r_][j]
-        if k + 1 < len(maps):
-            nxt = maps[k + 1]
-            for l in range(ncols):
-                if l != j and coeffs[l] is not None:
-                    for c_ in range(len(nxt[0])):
-                        if nxt[l][c_]:
-                            nxt[j][c_] = nxt[j][c_] + coeffs[l] * nxt[l][c_]
-        # clear column j by row operations; mirror as column ops on maps[k-1]
-        rcoeffs = [exact_div(m[r_][j], u) if m[r_][j] and r_ != i else None
-                   for r_ in range(nrows)]
-        for r_ in range(nrows):
-            if r_ != i and rcoeffs[r_] is not None:
-                for l in range(ncols):
-                    if m[i][l]:
-                        m[r_][l] = m[r_][l] - rcoeffs[r_] * m[i][l]
-        prev = maps[k - 1]
-        for r_ in range(nrows):
-            if r_ != i and rcoeffs[r_] is not None:
-                for p_ in range(len(prev)):
-                    if prev[p_][r_]:
-                        prev[p_][i] = prev[p_][i] + rcoeffs[r_] * prev[p_][r_]
-        # drop row i and column j of maps[k]; mirror in neighbours and shifts
-        maps[k] = [[m[r_][l] for l in range(ncols) if l != j]
-                   for r_ in range(nrows) if r_ != i]
-        del shifts[k][j]
-        del shifts[k - 1][i]
-        maps[k - 1] = [[prev[p_][l] for l in range(len(prev[0])) if l != i]
-                       for p_ in range(len(prev))]
-        if k + 1 < len(maps):
-            nxt = maps[k + 1]
-            maps[k + 1] = [nxt[r_] for r_ in range(len(nxt)) if r_ != j]
-        # truncate if a module became zero
-        if not shifts[k]:
-            maps = maps[:k]
-            shifts = shifts[:k]
-        elif not maps[k]:
-            maps = maps[:k]
-            shifts = shifts[:k]
-    out_maps = []
-    for k, m in enumerate(maps):
-        if not m or not m[0]:
-            break
-        row_shifts = (0,) if k == 0 else tuple(shifts[k - 1])
-        out_maps.append(PolyMatrix(ring, m, row_shifts=row_shifts,
-                                   col_shifts=tuple(shifts[k])))
-    return GradedResolution(ring, out_maps,
-                            [tuple(s) for s in shifts[:len(out_maps)]],
-                            minimal=True)
+    return GradedResolution(ring, maps, shifts, minimal=True)

@@ -469,15 +469,12 @@ def decompose(B: PolyMatrix, budget: Budget | None = None) -> DecompositionRepor
     n = B.cols
     if B.rows != n + 1:
         raise ValueError("decompose needs an (n+1) x n matrix")
-    if rank(B) != n:
+    # (-1)^i times the minor of B without row i, from one elimination; it is
+    # zero exactly when B lacks full column rank
+    minors = kernel_vector(B.transpose())
+    if all(m.is_zero() for m in minors):
         raise ValueError("decompose needs full column rank")
     ring = B.ring
-    all_rows = list(range(n + 1))
-    cols = list(range(n))
-    minors = []
-    for i in all_rows:
-        m = minor(B, [r for r in all_rows if r != i], cols)
-        minors.append(m if i % 2 == 0 else -m)
     through_H = minors[:n]
     top_det = minors[n]
     ideal_I = IdealBasis(through_H, ring=ring)

@@ -259,6 +259,48 @@ def test_input_errors_exit_one(tmp_path, capsys):
     assert "matrix[0][1]" in report["result"]["error"]
 
 
+# a non-graded 3x3 presentation matrix whose row ideal is the unit ideal,
+# although no entry of its row annihilator is a unit
+NON_GRADED = {
+    "ring": {"vars": ["x", "y", "z"]},
+    "matrix": [["0", "-3", "1/2*z - 1"],
+               ["3*y", "0", "-2*y - 3"],
+               ["-9*y*z", "-9/2", "6*y*z + 39/4*z - 3/2"]],
+}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("resolve", {"ring": {"vars": ["x", "y", "z"]}, "ideal": ["x^2 + y"]},
+     "homogeneous"),
+    ("resolve", {"ring": {"vars": ["x", "y", "z"]}, "ideal": ["1", "x"]},
+     "unit ideal"),
+    ("resolve", NON_GRADED, "grading"),
+    ("zeta", NON_GRADED, "minimal"),
+])
+def test_library_value_errors_exit_one(tmp_path, capsys, command, doc, message):
+    path = write(tmp_path, "d.json", doc)
+    code, report = invoke(capsys, command, path)
+    assert code == EXIT_ERROR
+    assert report["verdict"] == "error"
+    assert message in report["result"]["error"]
+
+
+def _reject_constant(name):
+    raise ValueError("not JSON (RFC 8259): %s" % name)
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # the row ideal of NON_GRADED has infinite height
+    path = write(tmp_path, "m.json", NON_GRADED)
+    code = main(["check", path])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert code == EXIT_OK
+    assert report["result"]["height_of_row_ideal"] == "inf"
+    assert main(["--format", "text", "check", path]) == EXIT_OK
+    assert 'height_of_row_ideal: "inf"' in capsys.readouterr().out
+
+
 def test_budget_environment_override(tmp_path, capsys, monkeypatch):
     doc = {"ring": {"vars": ["x", "y", "z", "t", "u", "v"]},
            "ideal": ["x*y*z", "y*z*t", "z*t*u", "t*u*v", "u*v*x", "v*x*y"]}

@@ -8,13 +8,12 @@ from math import comb, gcd
 import pytest
 
 from conftest import random_form, random_poly
+from koszul_oracle import KoszulOracle, assert_koszul_agrees
 from presmat import (
     Budget,
     BudgetExceeded,
-    GradedResolution,
     IdealBasis,
     ModuleBasis,
-    PolyMatrix,
     Polynomial,
     RingContext,
     UnitIdealError,
@@ -29,7 +28,6 @@ from presmat import (
     member_with_cofactors,
     minimal_free_resolution,
     minimal_generators,
-    minimalize,
     module_contains,
     module_member,
     normal_form,
@@ -332,7 +330,7 @@ def all_pairs_syzygies(F):
         tracked = engine._gb(IdealBasis(F.generators, ring=F.ring), track=True)
     else:
         inputs, rank = list(F.generators), F.ambient_rank
-        tracked = engine._module_gb(
+        tracked = engine._gb(
             ModuleBasis(F.ambient_rank, F.generators, ring=F.ring), track=True)
     n, enc = len(inputs), tracked.enc
     top = rank << enc.pos_bits
@@ -481,19 +479,26 @@ def test_minimal_generators_match_the_restart_prune():
 
 
 def test_koszul_resolution():
-    res = minimal_free_resolution(ideal(XYZ, "x", "y", "z"))
+    I = ideal(XYZ, "x", "y", "z")
+    res = minimal_free_resolution(I)
     assert res.length() == 3
     assert res.betti() == ((1, 1, 1), (2, 2, 2), 3)
     assert res.validate()
     assert res.shifts == ((1, 1, 1), (2, 2, 2), (3,))
+    assert KoszulOracle(I.generators, 3).betti() == {
+        (0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
+    assert_koszul_agrees(I, res)
 
 
 def test_resolution_of_fat_point_in_plane():
     ring = RingContext(("x", "y"))
-    res = minimal_free_resolution(ideal(ring, "x^2", "x*y", "y^2"))
+    I = ideal(ring, "x^2", "x*y", "y^2")
+    res = minimal_free_resolution(I)
     assert res.length() == 2
     assert res.shifts == ((2, 2, 2), (3, 3))
     assert res.validate()
+    assert KoszulOracle(I.generators, 2).betti() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
+    assert_koszul_agrees(I, res)
 
 
 def cyclic_products(ring, width):
@@ -507,16 +512,20 @@ def cyclic_products(ring, width):
 
 def test_resolution_of_cyclic_cubics():
     ring = RingContext(tuple("xyztuv"))
-    res = minimal_free_resolution(cyclic_products(ring, 3))
+    I = cyclic_products(ring, 3)
+    res = minimal_free_resolution(I)
     assert res.betti() == ((3,) * 6, (4,) * 6, 6)
     assert res.validate()
+    assert_koszul_agrees(I, res)
 
 
 def test_resolution_of_cyclic_quartics():
     ring = RingContext(tuple("xyztuv"))
-    res = minimal_free_resolution(cyclic_products(ring, 4))
+    I = cyclic_products(ring, 4)
+    res = minimal_free_resolution(I)
     assert res.betti() == ((4,) * 6, (5,) * 6, 6)
     assert res.validate()
+    assert_koszul_agrees(I, res)
 
 
 def test_resolution_exactness_via_hilbert():
@@ -558,11 +567,14 @@ SELF_CERT_SHIFTS = {
 }
 
 
-def dense_ideal(seed, ring):
-    """Forms with every monomial of their degree, coefficients in +-1..+-3."""
+def dense_ideal(seed, ring, degrees=None):
+    """Forms with every monomial of their degree, coefficients in +-1..+-3;
+    the degrees default to a shape picked by the seed."""
     rng = random.Random(seed)
     gens = []
-    for degree in SELF_CERT_SHAPES[seed % len(SELF_CERT_SHAPES)]:
+    if degrees is None:
+        degrees = SELF_CERT_SHAPES[seed % len(SELF_CERT_SHAPES)]
+    for degree in degrees:
         monos = [tuple(c.count(v) for v in range(ring.nvars))
                  for c in combinations_with_replacement(range(ring.nvars), degree)]
         gens.append(Polynomial(ring, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -587,6 +599,21 @@ def test_resolution_certifies_itself(seed):
         assert from_betti == hilbert_function(I, d)
     report = verify_exactness(res)
     assert report.exact, report
+    assert_koszul_agrees(I, res)
+
+
+@pytest.mark.parametrize("degrees", [(2, 2, 2), (2, 2, 2, 2), (2, 2, 3), (3, 3, 3),
+                                     (3, 3, 3, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_resolution_matches_koszul_homology(seed, degrees):
+    # The Hilbert function fixes only alternating sums of the Betti numbers;
+    # Koszul homology fixes each one, so a non-minimal or incomplete
+    # resolution cannot pass. This covers the cubic shapes that
+    # verify_exactness is too slow for.
+    I = dense_ideal(seed, XYZ, degrees)
+    res = minimal_free_resolution(I, max_length=3)
+    assert res.shifts[0] == degrees
+    assert_koszul_agrees(I, res)
 
 
 def test_resolution_rejects_inhomogeneous_and_unit():
@@ -594,33 +621,6 @@ def test_resolution_rejects_inhomogeneous_and_unit():
         minimal_free_resolution(ideal(XYZ, "x^2 + y"))
     with pytest.raises(UnitIdealError):
         minimal_free_resolution(ideal(XYZ, "1"))
-
-
-def test_minimalize_cancels_planted_unit():
-    gens = [parse("x", XYZ), parse("y", XYZ), parse("x", XYZ)]
-    phi1 = PolyMatrix(XYZ, [gens], row_shifts=(0,), col_shifts=(1, 1, 1))
-    cols = [
-        (parse("-y", XYZ), parse("x", XYZ), XYZ.zero()),
-        (-XYZ.one(), XYZ.zero(), XYZ.one()),
-    ]
-    phi2 = PolyMatrix(XYZ, [[cols[j][i] for j in range(2)] for i in range(3)],
-                      row_shifts=(1, 1, 1), col_shifts=(2, 1))
-    res = GradedResolution(XYZ, [phi1, phi2], [(1, 1, 1), (2, 1)], minimal=False)
-    for k in range(1):
-        assert (res.maps[k] @ res.maps[k + 1]).is_zero()
-    slim = minimalize(res)
-    assert slim.shifts == ((1, 1), (2,))
-    assert slim.validate()
-    before = IdealBasis(list(res.maps[0].entries[0]), ring=XYZ)
-    after = IdealBasis(list(slim.maps[0].entries[0]), ring=XYZ)
-    assert ideal_equal(before, after)
-
-
-def test_minimalize_keeps_minimal_resolution():
-    res = minimal_free_resolution(ideal(XYZ, "x", "y", "z"))
-    again = minimalize(res)
-    assert again.shifts == res.shifts
-    assert [m.entries for m in again.maps] == [m.entries for m in res.maps]
 
 
 # -- budgets and misc ------------------------------------------------------------
@@ -736,7 +736,7 @@ def test_nf_is_exact_and_fraction_free():
                              if rng.random() < 0.8 else XYZ.zero()
                              for _ in range(rank)) for _ in range(3)]
             F = ModuleBasis(rank, columns, ring=XYZ)
-            basis = engine._module_gb(F, track=True)
+            basis = engine._gb(F, track=True)
         for elem in basis.elems:
             lc = elem[0][2]
             assert isinstance(lc, int) and lc > 0
@@ -805,12 +805,11 @@ def test_tracking_adds_no_work_charge(monkeypatch):
     monkeypatch.setattr(engine._Clock, "tick", counting_tick)
     works = []
     for F in seeded_cases(random.Random(101), 40):
-        gb = engine._gb if isinstance(F, IdealBasis) else engine._module_gb
-        rank = 1 if isinstance(F, IdealBasis) else F.ambient_rank
+        rank = F.ambient_rank
         totals, bases = [], []
         for track in (False, True):
             del charged[:]
-            basis = gb(fresh(F), track=track)
+            basis = engine._gb(fresh(F), track=track)
             totals.append((len(charged), sum(charged)))
             bases.append([engine._terms_to_polys(v, rank, basis.enc, v[0][2])
                           for v in basis.elems])
@@ -871,6 +870,44 @@ def test_tags_never_leak():
         assert tracked_answers(second, probes) == tracked_answers(fresh(F), probes)
 
 
+def test_ideal_is_the_rank_one_module():
+    # An IdealBasis runs the rank-1 module path: the same answers must come
+    # from ModuleBasis(1, I.columns, grading=(0,)), inhomogeneous and zero
+    # generators included.
+    rng = random.Random(109)
+    homogeneous = 0
+    for trial in range(16):
+        if trial % 2 == 0:
+            degree = rng.choice((1, 2, 2, 3))
+            gens = [random_form(rng, XYZ, degree, max_terms=3) for _ in range(3)]
+        else:
+            gens = [random_poly(rng, XYZ, max_terms=3, max_deg=2) for _ in range(3)]
+        gens.insert(rng.randrange(len(gens) + 1), XYZ.zero())
+        I = IdealBasis(gens, ring=XYZ)
+        M = ModuleBasis(1, I.columns, ring=XYZ, grading=(0,))
+        assert (I.ambient_rank, I.grading) == (M.ambient_rank, M.grading)
+        S_I, S_M = syzygies(I), syzygies(M)
+        assert S_I.generators == S_M.generators
+        assert S_I.grading == S_M.grading
+        probes = [random_poly(rng, XYZ, max_terms=4, max_deg=3) for _ in range(4)]
+        probes += [combine([random_poly(rng, XYZ, max_terms=2, max_deg=1)
+                            for _ in gens], gens, XYZ)]
+        assert ([normal_form(p, I) for p in probes]
+                == [module_normal_form((p,), M)[0] for p in probes])
+        if all(g.is_homogeneous() for g in gens):
+            homogeneous += 1
+            assert S_I.grading is not None
+            assert (minimal_generators(I).columns
+                    == module_minimal_generators(M).generators)
+        else:
+            assert S_I.grading is None
+            with pytest.raises(ValueError):
+                minimal_generators(I)
+            with pytest.raises(ValueError):
+                module_minimal_generators(M)
+    assert 0 < homogeneous < 16
+
+
 def test_reduced_basis_matches_sympy():
     sympy = pytest.importorskip("sympy")
     shapes = {3: ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2), (3, 3, 3)), 4: ((2, 2, 2), (2, 2, 3))}
@@ -912,6 +949,7 @@ def test_resolution_stops_at_one_deadline(monkeypatch):
     monkeypatch.setattr(engine.time, "monotonic", fake_monotonic)
     full = minimal_free_resolution(fresh(), max_length=3, budget=Budget(seconds=1e9))
     readings = int(now[0])
+    assert_koszul_agrees(fresh(), full)
     assert readings > 20
     half = readings // 2
     now[0] = 0.0

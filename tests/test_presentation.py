@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_form, random_poly
+from conftest import oracle_det, random_form, random_poly
 from presmat import (
     GradedResolution,
     IdealBasis,
@@ -412,6 +412,34 @@ def test_decompose_shape_errors():
     B = PolyMatrix.from_text(XYZ, [["x", "0"], ["x", "0"], ["x", "0"]])
     with pytest.raises(ValueError):
         decompose(B)
+
+
+def test_decompose_minors_match_determinants():
+    # decompose reads the signed maximal minors off one kernel vector of
+    # B^T. They must equal one determinant per deleted row, and decompose
+    # must refuse B exactly when they all vanish (rank below n).
+    rng = random.Random(131)
+    deficient = 0
+    for trial in range(18):
+        n = 2 + trial % 2
+        if trial % 3 == 0:
+            B = rank_deficient(rng, XYZ, n, n + 1).transpose()
+        else:
+            B = PolyMatrix(XYZ, [[random_poly(rng, XYZ, max_terms=2, max_deg=2)
+                                  for _ in range(n)] for _ in range(n + 1)])
+        want = []
+        for i in range(n + 1):
+            m = oracle_det([list(B.entries[r]) for r in range(n + 1) if r != i])
+            want.append(m if i % 2 == 0 else -m)
+        if all(p.is_zero() for p in want):
+            deficient += 1
+            with pytest.raises(ValueError, match="full column rank"):
+                decompose(B)
+            continue
+        rep = decompose(B)
+        assert list(rep.y_ideal.generators) == want
+        assert list(rep.ideal.generators) == want[:n]
+    assert deficient >= 6
 
 
 # -- randomized properties -------------------------------------------------------
