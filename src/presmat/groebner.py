@@ -14,17 +14,19 @@ kept primitive. Normal forms reduce a heap of keys by r <- a*r - b*x^s*g and
 report the integer scale they applied. Inputs are cleared of denominators
 on the way in, and results are divided back on the way out, so callers see
 the same Fraction polynomials, monic where a reduced basis is returned.
-Buchberger runs with the Gebauer-Moller pair criteria and sugar-degree
-selection; the coprime-lead shortcut applies only in rank 1, where it is
-valid. Representations of basis elements in terms of the input generators
-are tracked on demand by the basis of the augmented module [F | I]: input i
-carries one tag term at position rank + i, below every real position, so
-each element's representation is the tail of its own term list, kept by the
-same integer arithmetic. That yields membership cofactors and
-Schreyer-style syzygies; the syzygies lift only the pairs that survive the
-Gebauer-Moller criteria. Minimal generators of ideals and graded modules
-come from one incremental Buchberger per call, truncated at the degree of
-the candidate under test.
+One completion loop, _complete, serves bases, prunes and intersections:
+it runs Buchberger with the Gebauer-Moller pair criteria and sugar-degree
+selection, to the end or through a given sugar; the coprime-lead shortcut
+applies only in rank 1, where it is valid. Representations of basis
+elements in terms of the input generators are tracked on demand by the
+basis of the augmented module [F | I]: input i carries one tag term at
+position rank + i, below every real position, so each element's
+representation is the tail of its own term list, kept by the same integer
+arithmetic. That yields membership cofactors and Schreyer-style
+syzygies; the syzygies lift only the pairs that survive the Gebauer-Moller
+criteria. Minimal generators of ideals and graded modules come from one
+incremental completion per call, truncated at the degree of the candidate
+under test.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ class Budget:
     """Caps on a computation: wall seconds and merged monomials.
 
     Each Groebner or syzygy step stops at either cap, its seconds counted
-    from the start of the step. minimal_free_resolution hands each of its
-    steps the seconds that remain of its budget, so the whole call stops
-    when they run out; each step keeps its own monomial cap.
+    from the start of the step; a syzygy step's caps cover its tracked
+    basis as well as the pairs it lifts. minimal_free_resolution hands each
+    of its steps the seconds that remain of its budget, so the whole call
+    stops when they run out; each step keeps its own monomial cap.
     """
 
     __slots__ = ("seconds", "max_monomials")
@@ -74,7 +77,8 @@ DEFAULT_BUDGET = Budget()
 class _Clock:
     __slots__ = ("deadline", "work", "max_work", "label")
 
-    def __init__(self, budget: Budget, label: str):
+    def __init__(self, budget: Budget | None, label: str):
+        budget = budget or DEFAULT_BUDGET
         self.deadline = time.monotonic() + budget.seconds
         self.work = 0
         self.max_work = budget.max_monomials
@@ -481,27 +485,22 @@ class _Basis:
         return r, sigma, sugar
 
 
-def _spair_parts(basis: _Basis, i: int, j: int):
+def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock) -> list:
+    """S-vector ai*x^ui*elems[i] - aj*x^uj*elems[j] of elements i and j, as
+    terms whose leads cancel (left out): x^ui and x^uj lift the leads to
+    their lcm, and ai = cj/g, aj = ci/g for the lead coefficients ci, cj
+    and g = gcd(ci, cj)."""
     mi, mj = basis.lead(i)[1], basis.lead(j)[1]
     lcm = _mono_lcm(mi, mj)
-    return (lcm, _mono_sub(lcm, mi), _mono_sub(lcm, mj),
-            basis.elems[i][0][2], basis.elems[j][0][2])
-
-
-def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock | None):
-    """S-vector ai*x^ui*elems[i] - aj*x^uj*elems[j] of elements i and j, as
-    terms whose leads cancel (left out), with x^ui and x^uj; ai = cj/g and
-    aj = ci/g for g = gcd(ci, cj)."""
-    _lcm, ui, uj, ci, cj = _spair_parts(basis, i, j)
+    ci, cj = basis.elems[i][0][2], basis.elems[j][0][2]
     g = gcd(ci, cj)
     ai, aj = cj // g, ci // g
-    if clock is not None:
-        clock.tick(basis.sizes[i] + basis.sizes[j])
-    kui, pui = basis.enc.term(0, ui)
-    kuj, puj = basis.enc.term(0, uj)
+    clock.tick(basis.sizes[i] + basis.sizes[j])
+    kui, pui = basis.enc.term(0, _mono_sub(lcm, mi))
+    kuj, puj = basis.enc.term(0, _mono_sub(lcm, mj))
     s = [(k + kui, p + pui, ai * c) for k, p, c in islice(basis.elems[i], 1, None)]
     s += [(k + kuj, p + puj, -aj * c) for k, p, c in islice(basis.elems[j], 1, None)]
-    return s, ui, uj
+    return s
 
 
 def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
@@ -546,44 +545,42 @@ def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
     return kept
 
 
-def _buchberger(vectors, rank: int, enc: _Encoding, clock: _Clock | None):
-    """Reduced Groebner basis of the given term lists, in rank positions.
+def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
+    """Run Buchberger on basis from its pending pairs; return the pairs left.
 
-    Terms at positions from rank on are tags (see _tagged) and ride along.
-    A remainder with no term below rank counts as zero, so no lead is ever
-    a tag. Returns a _Basis whose elems are the reduced basis, sorted by
-    leading term, primitive.
+    Each step takes the pair of least (sugar, lcm key, j, i), where the
+    sugar of (i, j) is the larger of sugars[i] and sugars[j] raised by the
+    degree of its lift to the lcm, reduces the S-vector, and appends a
+    remainder with a term below the tags, with its sugar. With upto set,
+    the loop stops before the first pair whose sugar exceeds it; for
+    elements whose sugar is their degree, the basis is then complete
+    through degree upto.
     """
-    basis = _Basis(enc, rank)
-    scalar = rank == 1
-    P: set = set()
-    for v in vectors:
-        if basis.is_zero(v):
-            continue
-        sugar = max(sum(enc.mono(p)) for _k, p, _c in v)
-        t = basis.append(v, sugar)
-        P = _update_pairs(P, basis, t, scalar)
+    enc, sugars = basis.enc, basis.sugars
+    scalar = basis.rank == 1
 
     def pair_rank(pair):
         i, j = pair
-        lcm, ui, uj, _, _ = _spair_parts(basis, i, j)
-        sugar = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
-        return (sugar, enc.term(basis.lpacks[i] >> enc.pos_bits, lcm)[0], j, i)
+        pos, mi = basis.lead(i)
+        mj = basis.lead(j)[1]
+        lcm = _mono_lcm(mi, mj)
+        d = sum(lcm)
+        sugar = max(sugars[i] + d - sum(mi), sugars[j] + d - sum(mj))
+        return sugar, enc.term(pos, lcm)[0], j, i
 
-    while P:
-        i, j = min(P, key=pair_rank)
-        P.discard((i, j))
-        s, ui, uj = _s_vector(basis, i, j, clock)
-        sugar0 = max(basis.sugars[i] + sum(ui), basis.sugars[j] + sum(uj))
-        r, _sigma, sugar = basis.nf(s, clock, sugar=sugar0)
-        if basis.is_zero(r):
-            continue
-        t = basis.append(r, sugar)
-        P = _update_pairs(P, basis, t, scalar)
-    return _reduce_basis(basis, clock)
+    while pairs:
+        sugar, _key, j, i = min(map(pair_rank, pairs))
+        if upto is not None and sugar > upto:
+            break
+        pairs.discard((i, j))
+        r, _sigma, sugar = basis.nf(_s_vector(basis, i, j, clock), clock,
+                                    sugar=sugar)
+        if not basis.is_zero(r):
+            pairs = _update_pairs(pairs, basis, basis.append(r, sugar), scalar)
+    return pairs
 
 
-def _reduce_basis(basis: _Basis, clock: _Clock | None) -> _Basis:
+def _reduce_basis(basis: _Basis, clock: _Clock) -> _Basis:
     """Minimalize, interreduce and sort; the result is the reduced basis,
     each element primitive rather than monic."""
     n = len(basis.elems)
@@ -617,29 +614,38 @@ def _ring_with_order(ring: RingContext, order) -> RingContext:
     return RingContext(ring.variables, order)
 
 
-def _gb(F, track: bool = False, budget: Budget | None = None,
-        order=None) -> _Basis:
+def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
     """Reduced basis of the columns of an IdealBasis or ModuleBasis, cached
-    on F; tracked bases carry the tags of the inputs (see _tagged)."""
+    on F: elems sorted by leading term, primitive. Tracked bases carry the
+    tags of the inputs (see _tagged); a remainder with no term below the
+    tags counts as zero, so no lead is ever a tag."""
     ring = _ring_with_order(F.ring, order)
     key = ("gb", ring.order, track)
     hit = F._cache.get(key)
-    if hit is not None:
-        return hit
-    if not track:
+    if hit is None and not track:
         # a tracked basis answers untracked queries too
         hit = F._cache.get(("gb", ring.order, True))
-        if hit is not None:
-            return hit
+    if hit is not None:
+        return hit
     rank = F.ambient_rank
-    label = "groebner basis" if rank == 1 else "module groebner basis"
-    clock = _Clock(budget or DEFAULT_BUDGET, label)
     enc = _Encoding(ring)
     vecs = _vecs_from_columns(F.columns, enc)
-    vecs = _tagged(vecs, rank, enc) if track else [v for v, _l in vecs]
-    basis = _buchberger(vecs, rank, enc, clock)
+    basis = _Basis(enc, rank)
+    pairs: set = set()
+    for v in _tagged(vecs, rank, enc) if track else [v for v, _l in vecs]:
+        if not basis.is_zero(v):
+            sugar = max(sum(enc.mono(p)) for _k, p, _c in v)
+            pairs = _update_pairs(pairs, basis, basis.append(v, sugar), rank == 1)
+    _complete(basis, pairs, clock)
+    basis = _reduce_basis(basis, clock)
     F._cache[key] = basis
     return basis
+
+
+def _basis_clock(F, budget: Budget | None) -> _Clock:
+    """Clock for a basis of the columns of F computed for its own sake."""
+    return _Clock(budget, "groebner basis" if F.ambient_rank == 1
+                  else "module groebner basis")
 
 
 # -- ideal operations ---------------------------------------------------------
@@ -647,7 +653,7 @@ def _gb(F, track: bool = False, budget: Budget | None = None,
 def groebner_basis(I: IdealBasis, order=None, budget: Budget | None = None) -> IdealBasis:
     """Reduced Groebner basis of I; deterministic for a fixed order."""
     ring = _ring_with_order(I.ring, order)
-    basis = _gb(I, budget=budget, order=order)
+    basis = _gb(I, _basis_clock(I, budget), order=order)
     polys = [_terms_to_polys(v, 1, basis.enc, v[0][2])[0] for v in basis.elems]
     out = IdealBasis(polys, ring=ring)
     out._cache[("gb", ring.order, False)] = basis
@@ -669,7 +675,7 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
     """Cofactors c with p = sum c_i * gen_i, or None when p is not in I."""
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
-    basis = _gb(I, track=True, budget=budget)
+    basis = _gb(I, _basis_clock(I, budget), track=True)
     enc = basis.enc
     ((v, scale),) = _vecs_from_columns([(p,)], enc)
     r, sigma, _s = basis.nf(v, None)
@@ -681,16 +687,14 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
 
 
 def _lt_generators(I: IdealBasis, budget: Budget | None = None):
-    """Minimal generators of the leading-term ideal; None entry for 1 in I."""
-    basis = _gb(I, budget=budget)
-    monos = [basis.lead(i)[1] for i in range(len(basis.elems))]
+    """Minimal generators of the leading-term ideal, sorted: the leads of
+    the reduced basis, which are distinct and divide no other; None when 1
+    lies in I."""
+    basis = _gb(I, _basis_clock(I, budget))
+    monos = sorted(basis.lead(i)[1] for i in range(len(basis.elems)))
     if any(sum(m) == 0 for m in monos):
         return None
-    minimal = []
-    for m in monos:
-        if not any(_mono_divides(o, m) and o != m for o in monos):
-            minimal.append(m)
-    return sorted(set(minimal))
+    return monos
 
 
 def dimension(I: IdealBasis, budget: Budget | None = None) -> int:
@@ -803,13 +807,10 @@ def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> Ide
 
     gens = [t * up(f) for f in I.generators]
     gens += [(elim.one() - t) * up(g) for g in J.generators]
-    clock = _Clock(budget or DEFAULT_BUDGET, "intersection")
-    enc = _Encoding(elim)
-    vecs = _vecs_from_columns([(g,) for g in gens], enc)
-    basis = _buchberger([v for v, _l in vecs], 1, enc, clock)
+    basis = _gb(IdealBasis(gens, ring=elim), _Clock(budget, "intersection"))
     out = []
     for v in basis.elems:
-        (p,) = _terms_to_polys(v, 1, enc, v[0][2])
+        (p,) = _terms_to_polys(v, 1, basis.enc, v[0][2])
         if all(m[0] == 0 for m in p.terms):
             out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms.items()}))
     if all(g.is_homogeneous() for g in I.generators + J.generators):
@@ -844,45 +845,27 @@ def ideal_equal(A: IdealBasis, B: IdealBasis, budget: Budget | None = None) -> b
     return ideal_contains(A, B, budget=budget) and ideal_contains(B, A, budget=budget)
 
 
-def _prune(candidates, grading, enc: _Encoding, clock: _Clock) -> list:
+def _prune(candidates, rank: int, enc: _Encoding, clock: _Clock) -> list:
     """Positions in candidates of a minimal generating subset, kept greedily.
 
-    candidates are nonzero homogeneous engine vectors as (degree, terms)
-    pairs in ascending (degree, input index) order, where the degree of a
-    term (pos, m) is sum(m) + grading[pos]. One incremental Buchberger runs
-    for the whole call. Before a candidate of degree d is tested, the basis
-    of the kept candidates is completed through degree d, using only the
-    pairs of degree at most d; for homogeneous input that truncated basis
-    decides membership in degree d. A candidate is kept when its normal
-    form is nonzero, and that normal form joins the basis.
+    candidates are nonzero homogeneous engine vectors of a graded free
+    module of the given rank, as (degree, terms) pairs in ascending
+    (degree, input index) order. One incremental completion runs for the
+    whole call, on elements whose sugar is their degree. Before a candidate
+    of degree d is tested, the basis of the kept candidates is completed
+    through degree d; for homogeneous input that truncated basis decides
+    membership in degree d. A candidate is kept when its normal form is
+    nonzero, and that normal form joins the basis.
     """
-    basis = _Basis(enc, len(grading))
-    scalar = len(grading) == 1
-    P: set = set()
-
-    def pair_rank(pair):
-        i, j = pair
-        pos, mi = basis.lead(i)
-        lcm = _mono_lcm(mi, basis.lead(j)[1])
-        return (sum(lcm) + grading[pos], enc.term(pos, lcm)[0], j, i)
-
+    basis = _Basis(enc, rank)
+    pairs: set = set()
     kept = []
     for k, (d, v) in enumerate(candidates):
-        while P:
-            rank = min(map(pair_rank, P))
-            if rank[0] > d:
-                break
-            j, i = rank[2:]
-            P.discard((i, j))
-            r = basis.nf(_s_vector(basis, i, j, clock)[0], clock)[0]
-            if r:
-                t = basis.append(r, rank[0])
-                P = _update_pairs(P, basis, t, scalar)
+        pairs = _complete(basis, pairs, clock, upto=d)
         r = basis.nf(v, clock)[0]
         if r:
             kept.append(k)
-            t = basis.append(r, d)
-            P = _update_pairs(P, basis, t, scalar)
+            pairs = _update_pairs(pairs, basis, basis.append(r, d), rank == 1)
     return kept
 
 
@@ -894,11 +877,10 @@ def _minimal_indices(F, label: str, budget: Budget | None) -> list:
     degs = [vector_degree(v, F.grading) for v in columns]
     order = sorted((i for i, d in enumerate(degs) if d is not None),
                    key=lambda i: (degs[i], i))
-    clock = _Clock(budget or DEFAULT_BUDGET, label)
     enc = _Encoding(F.ring)
     vecs = _vecs_from_columns([columns[i] for i in order], enc)
     kept = _prune([(degs[i], v) for i, (v, _l) in zip(order, vecs)],
-                  F.grading, enc, clock)
+                  F.ambient_rank, enc, _Clock(budget, label))
     return [order[k] for k in kept]
 
 
@@ -914,7 +896,7 @@ def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasi
 def module_normal_form(vector, M, budget: Budget | None = None):
     """Normal form of the vector over the columns of M, an IdealBasis or a
     ModuleBasis."""
-    basis = _gb(M, budget=budget)
+    basis = _gb(M, _basis_clock(M, budget))
     ((v, scale),) = _vecs_from_columns([vector], basis.enc)
     r, sigma, _s = basis.nf(v, None)
     return _terms_to_polys(r, M.ambient_rank, basis.enc, sigma * scale)
@@ -965,8 +947,6 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     """
     if not isinstance(F, (IdealBasis, ModuleBasis)):
         raise TypeError("syzygies expects an IdealBasis or ModuleBasis")
-    # started before the tracked basis, so the whole step keeps to its seconds
-    clock = _Clock(budget or DEFAULT_BUDGET, "syzygies")
     inputs = F.columns
     grading = None
     if F.grading is not None:
@@ -974,10 +954,12 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
             grading = [vector_degree(v, F.grading) or 0 for v in inputs]
         except ValueError:
             grading = None
-    tracked = _gb(F, track=True, budget=budget)
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
+    # one clock for the tracked basis and the lifts: the step keeps its caps
+    clock = _Clock(budget, "syzygies")
+    tracked = _gb(F, clock, track=True)
     enc, rank = tracked.enc, tracked.rank
     rels = []
     pairs: set = set()
@@ -985,7 +967,7 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
         pairs = _update_pairs(pairs, tracked, k, scalar=False)
     # relations among the basis elements, read in the inputs from the tags
     for i, j in sorted(pairs):
-        r = tracked.nf(_s_vector(tracked, i, j, clock)[0], clock)[0]
+        r = tracked.nf(_s_vector(tracked, i, j, clock), clock)[0]
         if not tracked.is_zero(r):
             raise RuntimeError("S-pair of a Groebner basis: a term below rank remains")
         rels.append(r)

@@ -183,27 +183,12 @@ def _degree_rank(p: Polynomial):
     return (1, 0) if d is NEG_INF else (0, d)
 
 
-def _det_small(rows) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def det(M: PolyMatrix) -> Polynomial:
-    """Exact determinant; Bareiss elimination above size 3."""
+    """Exact determinant by Bareiss elimination."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n <= 3:
-        return _det_small(M.entries)
     a, pivots, sign = _eliminate(M.entries, M.ring, jordan=False)
-    if len(pivots) < n:
+    if len(pivots) < M.rows:
         return M.ring.zero()
     return a[-1][-1] if sign == 1 else -a[-1][-1]
 

@@ -260,25 +260,19 @@ def _derive_shifts(M: PolyMatrix, g):
     return a, b
 
 
-def _gcd_is_unit(ring, polys) -> bool:
-    """True when the polynomials have unit gcd; stops as soon as it is."""
-    common = ring.zero()
-    for p in polys:
-        common = gcd(common, p)
-        if common.is_unit():
-            return True
-    return False
-
-
 def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
     """True when the minors of the given size have unit gcd (height >= 2).
 
     Over a factorial ring the ideal they generate has height at least 2
     exactly when no common factor survives; accumulate and stop early.
     """
-    return _gcd_is_unit(M.ring, (minor(M, rows, cols)
-                                 for rows in combinations(range(M.rows), size)
-                                 for cols in combinations(range(M.cols), size)))
+    common = M.ring.zero()
+    for rows in combinations(range(M.rows), size):
+        for cols in combinations(range(M.cols), size):
+            common = gcd(common, minor(M, rows, cols))
+            if common.is_unit():
+                return True
+    return False
 
 
 def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResolution:
@@ -308,10 +302,8 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     if not (phi1 @ phi2).is_zero() or not (phi2 @ phi3).is_zero():
         raise AssertionError("annihilator composites must vanish")
     # exactness, specialized: gcd(gamma) = 1 gives height(I_M) >= 2; the
-    # submaximal minors, the entries of C up to sign, need unit gcd; the row
-    # ideal height comes from the report
-    if not _gcd_is_unit(ring, (p for row in report.cofactors.entries for p in row)):
-        raise ValueError("submaximal minors share a factor; chain not exact")
+    # submaximal minors, the entries of C = u * g * h^T up to sign, have
+    # gcd(g) * gcd(h) = 1; the row ideal height comes from the report
     minimal = all(p.constant_term() == 0
                   for mat in (phi1, phi2, phi3) for row in mat.entries for p in row)
     return GradedResolution(ring, [phi1, phi2, phi3],

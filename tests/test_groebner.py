@@ -322,16 +322,21 @@ def tag_polys(v, rank, n, enc):
     return engine._terms_to_polys(engine._tag_part(v, rank, enc), n, enc)
 
 
+def gb(F, track=False):
+    """The engine's cached basis of F, under the default budget."""
+    return engine._gb(F, engine._Clock(None, "test"), track=track)
+
+
 def all_pairs_syzygies(F):
     """Reference syzygies: lift every same-position S-pair of the tracked
     basis, with no pair criteria, plus the rows of (Id - B*A)."""
     if isinstance(F, IdealBasis):
         inputs, rank = [(g,) for g in F.generators], 1
-        tracked = engine._gb(IdealBasis(F.generators, ring=F.ring), track=True)
+        tracked = gb(IdealBasis(F.generators, ring=F.ring), track=True)
     else:
         inputs, rank = list(F.generators), F.ambient_rank
-        tracked = engine._gb(
-            ModuleBasis(F.ambient_rank, F.generators, ring=F.ring), track=True)
+        tracked = gb(ModuleBasis(F.ambient_rank, F.generators, ring=F.ring),
+                     track=True)
     n, enc = len(inputs), tracked.enc
     top = rank << enc.pos_bits
     rels = []
@@ -339,7 +344,11 @@ def all_pairs_syzygies(F):
         for j in range(i + 1, len(tracked.elems)):
             if tracked.lead(i)[0] != tracked.lead(j)[0]:
                 continue
-            _lcm, ui, uj, ci, cj = engine._spair_parts(tracked, i, j)
+            mi, mj = tracked.lead(i)[1], tracked.lead(j)[1]
+            lcm = tuple(map(max, mi, mj))
+            ui = tuple(a - b for a, b in zip(lcm, mi))
+            uj = tuple(a - b for a, b in zip(lcm, mj))
+            ci, cj = tracked.elems[i][0][2], tracked.elems[j][0][2]
             # cj*x^ui*e_i - ci*x^uj*e_j, whole elements: the leads cancel in nf
             s = shifted_terms(enc, cj, ui, tracked.elems[i])
             s += shifted_terms(enc, -ci, uj, tracked.elems[j])
@@ -634,6 +643,56 @@ def test_budget_exceeded_is_distinct():
     assert not issubclass(BudgetExceeded, ValueError)
 
 
+def twisted_cubic():
+    return ideal(XYZT, "x*z - y^2", "x*t - y*z", "y*t - z^2")
+
+
+def twisted_cubic_and_a_multiple():
+    return ideal(XYZT, "x*z - y^2", "x*t - y*z", "y*t - z^2", "x*z*t - y^2*t")
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: intersect(twisted_cubic(), ideal(XYZT, "x", "t^2"), budget=b),
+    lambda b: minimal_generators(twisted_cubic_and_a_multiple(), budget=b),
+    lambda b: module_minimal_generators(syzygies(twisted_cubic_and_a_multiple()),
+                                       budget=b),
+    lambda b: syzygies(twisted_cubic(), budget=b),
+    lambda b: member_with_cofactors(parse("x^2*t - y^3", XYZT), twisted_cubic(),
+                                    budget=b),
+    lambda b: height(twisted_cubic(), budget=b),
+    lambda b: hilbert_function(twisted_cubic(), 3, budget=b),
+], ids=["intersect", "minimal_generators", "module_minimal_generators",
+        "syzygies", "member_with_cofactors", "height", "hilbert_function"])
+def test_budget_caps_reach_every_groebner_entry_point(call):
+    call(Budget())
+    with pytest.raises(BudgetExceeded):
+        call(Budget(max_monomials=1))
+
+
+def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
+    # the tracked basis and the lifted pairs share the step's one clock, so
+    # a cap that each part fits under alone stops the step
+    charged = []
+    tick = engine._Clock.tick
+
+    def counting_tick(self, amount):
+        charged.append(amount)
+        return tick(self, amount)
+
+    monkeypatch.setattr(engine._Clock, "tick", counting_tick)
+    basis_clock = engine._Clock(None, "test")
+    engine._gb(twisted_cubic(), basis_clock, track=True)
+    del charged[:]
+    syzygies(twisted_cubic())
+    step = sum(charged)
+    lifts = step - basis_clock.work
+    assert basis_clock.work > 0 and lifts > 0
+    syzygies(twisted_cubic(), budget=Budget(max_monomials=step))
+    with pytest.raises(BudgetExceeded, match="^syzygies: monomial"):
+        syzygies(twisted_cubic(),
+                 budget=Budget(max_monomials=max(basis_clock.work, lifts)))
+
+
 def test_vector_degree():
     v = (parse("x^2", XYZ), parse("y", XYZ))
     assert vector_degree(v, (1, 2)) == 3
@@ -728,7 +787,7 @@ def test_nf_is_exact_and_fraction_free():
         if trial % 2 == 0:
             gens = [rational_form(rng, XYZ, rng.choice((2, 2, 3))) for _ in range(3)]
             F = IdealBasis(gens, ring=XYZ)
-            basis, rank = engine._gb(F, track=True), 1
+            basis, rank = gb(F, track=True), 1
             columns = [(g,) for g in gens]
         else:
             rank = rng.randint(2, 3)
@@ -736,7 +795,7 @@ def test_nf_is_exact_and_fraction_free():
                              if rng.random() < 0.8 else XYZ.zero()
                              for _ in range(rank)) for _ in range(3)]
             F = ModuleBasis(rank, columns, ring=XYZ)
-            basis = engine._gb(F, track=True)
+            basis = gb(F, track=True)
         for elem in basis.elems:
             lc = elem[0][2]
             assert isinstance(lc, int) and lc > 0
@@ -809,7 +868,7 @@ def test_tracking_adds_no_work_charge(monkeypatch):
         totals, bases = [], []
         for track in (False, True):
             del charged[:]
-            basis = engine._gb(fresh(F), track=track)
+            basis = gb(fresh(F), track=track)
             totals.append((len(charged), sum(charged)))
             bases.append([engine._terms_to_polys(v, rank, basis.enc, v[0][2])
                           for v in basis.elems])

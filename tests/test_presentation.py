@@ -703,6 +703,23 @@ def test_rank_test_rejects_full_and_low_rank():
             assert rep.gamma is None and rep.cofactors is None
 
 
+def assert_cofactors_have_unit_gcd(M):
+    # C = u * g * h^T with u a unit and gcd(g) = gcd(h) = 1, so the
+    # submaximal minors of a presentation matrix share no factor
+    rep = check_presentation(M)
+    assert rep.is_presentation
+    common = M.ring.zero()
+    for row in rep.cofactors.entries:
+        for p in row:
+            common = gcd(common, p)
+    assert common.is_unit()
+
+
+def test_cofactors_have_unit_gcd_on_sweep(sweep_matrices):
+    for M in sweep_matrices:
+        assert_cofactors_have_unit_gcd(M)
+
+
 def test_property_resolutions_verify():
     # random scaled Koszul presentations: build and verify 200 resolutions
     rng = random.Random(15)
@@ -713,6 +730,7 @@ def test_property_resolutions_verify():
         h = [parse(v, ring) ** e for v, e in zip(("x", "y", "z"), d)]
         g = [parse(v, ring) ** e for v, e in zip(("u", "v", "w"), a)]
         M = PolyMatrix.diagonal(ring, g) @ koszul(ring, *h)
+        assert_cofactors_have_unit_gcd(M)
         res = build_resolution(M)
         assert verify_exactness(res).exact
 
