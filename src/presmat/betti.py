@@ -215,11 +215,7 @@ def _reduce_once(seq: BettiSequence, t: int):
 
 
 def _classify_residue(seq: BettiSequence) -> Verdict:
-    if seq.n == 3:
-        return classify_n3(seq)
-    pos = _positivity_witness(seq)
-    if pos is not None:
-        return Verdict(NOT_ESSENTIAL, pos)
+    """Verdict on a Gaeta residue with n >= 4 that passed positivity."""
     if seq.is_homogeneous():
         return classify_homogeneous(seq.n, seq.a[0], seq.b[0])
     return Verdict(UNKNOWN, {"rule": "gaeta-residue",

@@ -56,9 +56,11 @@ class Budget:
 
     Each Groebner or syzygy step stops at either cap, its seconds counted
     from the start of the step; a syzygy step's caps cover its tracked
-    basis as well as the pairs it lifts. minimal_free_resolution hands each
-    of its steps the seconds that remain of its budget, so the whole call
-    stops when they run out; each step keeps its own monomial cap.
+    basis as well as the pairs it lifts, and a normal form or membership
+    call's cover its basis as well as the reduction of its probe.
+    minimal_free_resolution hands each of its steps the seconds that remain
+    of its budget, so the whole call stops when they run out; each step
+    keeps its own monomial cap.
     """
 
     __slots__ = ("seconds", "max_monomials")
@@ -675,10 +677,11 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
     """Cofactors c with p = sum c_i * gen_i, or None when p is not in I."""
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
-    basis = _gb(I, _basis_clock(I, budget), track=True)
+    clock = _basis_clock(I, budget)
+    basis = _gb(I, clock, track=True)
     enc = basis.enc
     ((v, scale),) = _vecs_from_columns([(p,)], enc)
-    r, sigma, _s = basis.nf(v, None)
+    r, sigma, _s = basis.nf(v, clock)
     if not basis.is_zero(r):
         return None
     # sigma*scale*p = -sum_i t_i * gen_i for the tag part t of r
@@ -896,9 +899,10 @@ def minimal_generators(I: IdealBasis, budget: Budget | None = None) -> IdealBasi
 def module_normal_form(vector, M, budget: Budget | None = None):
     """Normal form of the vector over the columns of M, an IdealBasis or a
     ModuleBasis."""
-    basis = _gb(M, _basis_clock(M, budget))
+    clock = _basis_clock(M, budget)
+    basis = _gb(M, clock)
     ((v, scale),) = _vecs_from_columns([vector], basis.enc)
-    r, sigma, _s = basis.nf(v, None)
+    r, sigma, _s = basis.nf(v, clock)
     return _terms_to_polys(r, M.ambient_rank, basis.enc, sigma * scale)
 
 

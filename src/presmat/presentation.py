@@ -29,16 +29,14 @@ from .groebner import (
 from .matrices import (
     PolyMatrix,
     check_graded,
-    cofactor_matrix,
     kernel_vector,
     minor,
     pivot_columns,
     rank,
 )
-from .ring import Polynomial, exact_div, gcd
+from .ring import exact_div, gcd
 
 FAIL_RANK = "rank_not_n_minus_1"
-FAIL_FACTOR = "cofactor_factorization_failed"
 FAIL_UNIT = "cofactor_unit_not_constant"
 FAIL_HEIGHT = "height_of_row_ideal_below_3"
 
@@ -77,12 +75,15 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _annihilator(raw, M: PolyMatrix, column_subset) -> GammaVector:
-    """Normalize raw, a nonzero vector with raw * M = 0, and check it.
+def _annihilator(M: PolyMatrix, chosen):
+    """Raw and normalized row annihilator of M from n-1 independent columns.
 
-    The gcd of the components is divided out and the first nonzero
-    component made monic; the result must annihilate all of M.
+    raw is the kernel vector of the chosen columns, transposed: with q the
+    column left out, raw_i = (-1)^q * C_iq for the cofactor matrix C of a
+    square M. The normalized vector has the gcd of raw divided out and its
+    first nonzero component monic; it must annihilate all of M.
     """
+    raw = kernel_vector(M.submatrix(range(M.rows), chosen).transpose())
     ring = M.ring
     common = ring.zero()
     for p in raw:
@@ -98,8 +99,8 @@ def _annihilator(raw, M: PolyMatrix, column_subset) -> GammaVector:
             total = total + components[i] * M.entry(i, j)
         if not total.is_zero():
             raise AssertionError("annihilator check failed; rank computation is off")
-    return GammaVector(components, M, column_subset,
-                       "gcd removed; first nonzero component monic")
+    return raw, GammaVector(components, M, chosen,
+                            "gcd removed; first nonzero component monic")
 
 
 def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
@@ -110,23 +111,27 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     the result does not depend on it (up to the fixed normalization), which
     the tests exercise over all subsets.
     """
-    n = M.rows
     chosen = pivot_columns(M)
-    if len(chosen) != n - 1:
+    if len(chosen) != M.rows - 1:
         raise ValueError("gamma needs rank exactly rows - 1")
-    raw = kernel_vector(M.submatrix(range(n), chosen).transpose())
-    return _annihilator(raw, M, chosen)
+    return _annihilator(M, chosen)[1]
 
 
 class PresentationReport:
-    """Verdict of check_presentation; cofactors is the cofactor matrix C of
-    the tested matrix once its rank is known to be n-1, else None."""
+    """Verdict of check_presentation.
+
+    gamma and gamma_transpose are the normalized annihilators g and h of M
+    and of its transpose once the rank is known to be n-1, else None;
+    cofactor_unit is the u with C = u * g * h^T for the cofactor matrix C,
+    and height_J the height of the ideal of the h components, each None
+    until the test reaches it.
+    """
 
     __slots__ = ("is_presentation", "gamma", "gamma_transpose", "cofactor_unit",
-                 "height_J", "is_minimal", "failure_reason", "cofactors")
+                 "height_J", "is_minimal", "failure_reason")
 
     def __init__(self, is_presentation, gamma, gamma_transpose, cofactor_unit,
-                 height_J, is_minimal, failure_reason, cofactors=None):
+                 height_J, is_minimal, failure_reason):
         self.is_presentation = is_presentation
         self.gamma = gamma
         self.gamma_transpose = gamma_transpose
@@ -134,7 +139,6 @@ class PresentationReport:
         self.height_J = height_J
         self.is_minimal = is_minimal
         self.failure_reason = failure_reason
-        self.cofactors = cofactors
 
     def __repr__(self):
         if self.is_presentation:
@@ -156,63 +160,41 @@ def _height_or_inf(gens, ring, budget: Budget | None):
 def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> PresentationReport:
     """Decide the presentation property for a square matrix.
 
-    Computes the cofactor matrix C once and reads the rest from it: the
-    rank test, the two normalized annihilators g and h (a column and a row
-    of C), and the factorization C = u * (g_i h_j). It requires u to be a
-    nonzero constant, and the ideal of the h components to have height at
-    least 3. Failures are reported, never raised.
+    M must have rank n-1; then g = gamma(M) and h = gamma(M^T). At that
+    rank the cofactor matrix C has rank 1 with columns in the span of g and
+    rows in the span of h, and as both are primitive, C = u * g * h^T for a
+    polynomial u, read off the one column of C that gamma's kernel
+    elimination yields. It requires u to be a nonzero constant, and the
+    ideal of the h components to have height at least 3. Failures are
+    reported, never raised.
     """
     n = M.rows
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
     is_minimal = all(p.constant_term() == 0 for row in M.entries for p in row)
-    # rank n-1 exactly when C is nonzero and det(M), expanded along row 0, is 0
-    C = cofactor_matrix(M)
-    nonzero_rows = [i for i in range(n) if any(C.entry(i, j) for j in range(n))]
-    det_M = sum((M.entry(0, j) * C.entry(0, j) for j in range(n)), M.ring.zero())
-    if not nonzero_rows or not det_M.is_zero():
+    chosen = pivot_columns(M)
+    if len(chosen) != n - 1:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    # the last nonzero column (row) of C is the one gamma's lexicographically
-    # first full-rank column subset leaves out, so g and h equal gamma(M) and
-    # gamma(M^T)
-    i0 = nonzero_rows[-1]
-    j0 = max(j for j in range(n) if any(C.entry(i, j) for i in nonzero_rows))
-    g = _annihilator([C.entry(i, j0) for i in range(n)], M,
-                     [j for j in range(n) if j != j0])
-    h = _annihilator(list(C.row(i0)), M.transpose(),
-                     [i for i in range(n) if i != i0])
+    raw, g = _annihilator(M, chosen)
+    h = gamma(M.transpose())
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
-    unit = None
-    for i in range(n):
-        for j in range(n):
-            prod = g[i] * h[j]
-            if not prod.is_zero():
-                try:
-                    unit = exact_div(C.entry(i, j), prod)
-                except ValueError:
-                    return PresentationReport(False, g, h, None, None,
-                                              is_minimal, FAIL_FACTOR, C)
-                break
-        if unit is not None:
-            break
-    if unit is None:
-        raise AssertionError("both annihilators vanish; impossible at rank n-1")
-    for i in range(n):
-        for j in range(n):
-            if C.entry(i, j) != unit * g[i] * h[j]:
-                return PresentationReport(False, g, h, None, None, is_minimal,
-                                          FAIL_FACTOR, C)
+    # C_iq = (-1)^q raw_i = u * g_i * h_q for the column q gamma leaves out;
+    # h_q is nonzero because that column of C is raw up to sign
+    q = next(j for j in range(n) if j not in chosen)
+    i = next(i for i in range(n) if not g[i].is_zero())
+    try:
+        unit = exact_div(raw[i] if q % 2 == 0 else -raw[i], g[i] * h[q])
+    except ValueError:
+        raise AssertionError("cofactor matrix is not u * g * h^T") from None
     if not unit.is_unit():
-        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT,
-                                  C)
+        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT)
     hJ = _height_or_inf([p for p in h if not p.is_zero()], M.ring, budget)
     if hJ < 3:
-        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT,
-                                  C)
-    return PresentationReport(True, g, h, unit, hJ, is_minimal, None, C)
+        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT)
+    return PresentationReport(True, g, h, unit, hJ, is_minimal, None)
 
 
 def column_module(M: PolyMatrix) -> ModuleBasis:
@@ -260,6 +242,14 @@ def _derive_shifts(M: PolyMatrix, g):
     return a, b
 
 
+def _minors(M: PolyMatrix, size: int):
+    """The minors of M of the given size, one per pair of row and column
+    subsets, computed as they are consumed."""
+    for rows in combinations(range(M.rows), size):
+        for cols in combinations(range(M.cols), size):
+            yield minor(M, rows, cols)
+
+
 def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
     """True when the minors of the given size have unit gcd (height >= 2).
 
@@ -267,11 +257,10 @@ def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
     exactly when no common factor survives; accumulate and stop early.
     """
     common = M.ring.zero()
-    for rows in combinations(range(M.rows), size):
-        for cols in combinations(range(M.cols), size):
-            common = gcd(common, minor(M, rows, cols))
-            if common.is_unit():
-                return True
+    for p in _minors(M, size):
+        common = gcd(common, p)
+        if common.is_unit():
+            return True
     return False
 
 
@@ -304,10 +293,9 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     # exactness, specialized: gcd(gamma) = 1 gives height(I_M) >= 2; the
     # submaximal minors, the entries of C = u * g * h^T up to sign, have
     # gcd(g) * gcd(h) = 1; the row ideal height comes from the report
-    minimal = all(p.constant_term() == 0
-                  for mat in (phi1, phi2, phi3) for row in mat.entries for p in row)
     return GradedResolution(ring, [phi1, phi2, phi3],
-                            [tuple(a), tuple(b), (s,)], minimal=minimal)
+                            [tuple(a), tuple(b), (s,)],
+                            minimal=report.is_minimal)
 
 
 class ExactnessReport:
@@ -354,12 +342,7 @@ def verify_exactness(res: GradedResolution, budget: Budget | None = None) -> Exa
             ok = _minor_gcd_is_unit(m, r)
             detail = "gcd of %d-minors" % r
         else:
-            minors_ideal = IdealBasis(
-                [minor(m, rows, cols)
-                 for rows in combinations(range(m.rows), r)
-                 for cols in combinations(range(m.cols), r)],
-                ring=m.ring)
-            gens = [p for p in minors_ideal.generators if not p.is_zero()]
+            gens = [p for p in _minors(m, r) if not p.is_zero()]
             if not gens:
                 ok = False
                 ht = 0

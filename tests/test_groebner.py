@@ -669,6 +669,23 @@ def test_budget_caps_reach_every_groebner_entry_point(call):
         call(Budget(max_monomials=1))
 
 
+def test_budget_caps_the_reduction_of_the_probe():
+    # the basis fits under the cap and the reduction of the probe does not;
+    # uncapped, the answers stand and certify themselves
+    def I():
+        return ideal(XYZ, "x^2 - y*z", "y^2 - 2*x*z", "z^2 - 3*x*y + x*z")
+    f = parse("x + 2*y + 3*z", XYZ) ** 25
+    assert normal_form(f, I()).is_zero()
+    cof = member_with_cofactors(f, I())
+    assert sum((c * g for c, g in zip(cof, I().generators)), XYZ.zero()) == f
+    cap = Budget(max_monomials=200)
+    groebner_basis(I(), budget=cap)
+    with pytest.raises(BudgetExceeded, match="^groebner basis: monomial"):
+        normal_form(f, I(), budget=cap)
+    with pytest.raises(BudgetExceeded, match="^groebner basis: monomial"):
+        member_with_cofactors(f, I(), budget=cap)
+
+
 def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
     # the tracked basis and the lifted pairs share the step's one clock, so
     # a cap that each part fits under alone stops the step

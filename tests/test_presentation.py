@@ -700,17 +700,21 @@ def test_rank_test_rejects_full_and_low_rank():
             rep = check_presentation(M)
             assert not rep.is_presentation
             assert rep.failure_reason == FAIL_RANK
-            assert rep.gamma is None and rep.cofactors is None
+            assert rep.gamma is None
 
 
 def assert_cofactors_have_unit_gcd(M):
     # C = u * g * h^T with u a unit and gcd(g) = gcd(h) = 1, so the
-    # submaximal minors of a presentation matrix share no factor
+    # submaximal minors of a presentation matrix share no factor; C comes
+    # from cofactor_matrix, independently of the report's kernel route
     rep = check_presentation(M)
     assert rep.is_presentation
+    C = cofactor_matrix(M)
+    u, g, h = rep.cofactor_unit, rep.gamma, rep.gamma_transpose
     common = M.ring.zero()
-    for row in rep.cofactors.entries:
-        for p in row:
+    for i, row in enumerate(C.entries):
+        for j, p in enumerate(row):
+            assert p == u * g[i] * h[j]
             common = gcd(common, p)
     assert common.is_unit()
 
