@@ -9,8 +9,9 @@ Every invocation prints a single report object with the fields
 
 Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
 variable, which beats the library default of 60 seconds. Each internal
-Groebner step gets the budget, except in minimal free resolutions, whose
-steps get the seconds that remain of it.
+Groebner step gets the budget, the colon ideal behind each polynomial gcd
+included, except in minimal free resolutions, whose steps get the seconds
+that remain of it. The budget must be positive and finite.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -175,8 +177,8 @@ def _budget_from(args) -> Budget | None:
                                % (BUDGET_ENV, raw)) from exc
     if seconds is None:
         return None
-    if seconds <= 0:
-        raise CliError("budget must be positive")
+    if not 0 < seconds < math.inf:  # also rejects nan
+        raise CliError("budget must be a positive, finite number of seconds")
     return Budget(seconds=seconds)
 
 
@@ -632,8 +634,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="presentation matrices, graded resolutions, and Betti "
                     "sequence classification")
     top.add_argument("--budget-seconds", type=float, default=None,
-                     help="seconds for each internal Groebner step, or for "
-                          "a whole minimal resolution (overrides %s)"
+                     help="seconds for each internal Groebner step, gcd "
+                          "steps included, or for a whole minimal resolution "
+                          "(overrides %s)"
                           % BUDGET_ENV)
     top.add_argument("--format", choices=("json", "text"), default="json",
                      help="report format (default json)")

@@ -75,7 +75,7 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _annihilator(M: PolyMatrix, chosen):
+def _annihilator(M: PolyMatrix, chosen, budget: Budget | None):
     """Raw and normalized row annihilator of M from n-1 independent columns.
 
     raw is the kernel vector of the chosen columns, transposed: with q the
@@ -87,7 +87,7 @@ def _annihilator(M: PolyMatrix, chosen):
     ring = M.ring
     common = ring.zero()
     for p in raw:
-        common = gcd(common, p)
+        common = gcd(common, p, budget=budget)
     components = [exact_div(p, common) if not p.is_zero() else p for p in raw]
     lead = next(p for p in components if not p.is_zero())
     scale = lead.lead_coeff()
@@ -114,7 +114,7 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     chosen = pivot_columns(M)
     if len(chosen) != M.rows - 1:
         raise ValueError("gamma needs rank exactly rows - 1")
-    return _annihilator(M, chosen)[1]
+    return _annihilator(M, chosen, budget)[1]
 
 
 class PresentationReport:
@@ -176,8 +176,8 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     if len(chosen) != n - 1:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    raw, g = _annihilator(M, chosen)
-    h = gamma(M.transpose())
+    raw, g = _annihilator(M, chosen, budget)
+    h = gamma(M.transpose(), budget=budget)
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
@@ -250,7 +250,7 @@ def _minors(M: PolyMatrix, size: int):
             yield minor(M, rows, cols)
 
 
-def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
+def _minor_gcd_is_unit(M: PolyMatrix, size: int, budget: Budget | None) -> bool:
     """True when the minors of the given size have unit gcd (height >= 2).
 
     Over a factorial ring the ideal they generate has height at least 2
@@ -258,7 +258,7 @@ def _minor_gcd_is_unit(M: PolyMatrix, size: int) -> bool:
     """
     common = M.ring.zero()
     for p in _minors(M, size):
-        common = gcd(common, p)
+        common = gcd(common, p, budget=budget)
         if common.is_unit():
             return True
     return False
@@ -339,7 +339,7 @@ def verify_exactness(res: GradedResolution, budget: Budget | None = None) -> Exa
             ok = r >= 1
             detail = "nonzero map"
         elif depth_needed == 2:
-            ok = _minor_gcd_is_unit(m, r)
+            ok = _minor_gcd_is_unit(m, r, budget)
             detail = "gcd of %d-minors" % r
         else:
             gens = [p for p in _minors(m, r) if not p.is_zero()]

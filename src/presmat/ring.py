@@ -63,6 +63,8 @@ class RingContext:
             self._key = _lex_key
         elif isinstance(order, tuple) and len(order) == 2 and order[0] == "elim":
             k = order[1]
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ValueError(f"elimination block size must be an integer: {k!r}")
             if not 0 < k < len(variables):
                 raise ValueError("elimination block size out of range")
             self._key = lambda e: (e[:k], _grevlex_key(e[k:]))
@@ -506,139 +508,22 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(ring, quot)
 
 
-def divides(q: Polynomial, p: Polynomial) -> bool:
-    try:
-        exact_div(p, q)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
+def gcd(p: Polynomial, q: Polynomial, budget=None) -> Polynomial:
+    """GCD normalized to leading coefficient 1; gcd(p, 0) = monic p.
 
-
-def _mono_content(p: Polynomial):
-    """Exponent-wise min over the support."""
-    it = iter(p.terms)
-    lo = list(next(it))
-    for m in it:
-        for i, e in enumerate(m):
-            if e < lo[i]:
-                lo[i] = e
-    return tuple(lo)
-
-
-def _shift_down(p: Polynomial, mono) -> Polynomial:
-    return Polynomial(p.ring, {tuple(a - b for a, b in zip(m, mono)): c
-                               for m, c in p.terms.items()})
-
-
-def _as_univariate(p: Polynomial, v: int) -> dict:
-    """View p in its last active variable: degree -> coefficient Polynomial."""
-    coeffs: dict = {}
-    for m, c in p.terms.items():
-        d = m[v]
-        rest = m[:v] + (0,) + m[v + 1:]
-        bucket = coeffs.setdefault(d, {})
-        bucket[rest] = bucket.get(rest, 0) + c
-    return {d: Polynomial(p.ring, t) for d, t in coeffs.items()}
-
-
-def _from_univariate(coeffs: dict, v: int, ring: RingContext) -> Polynomial:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            mm = m[:v] + (d,) + m[v + 1:]
-            terms[mm] = terms.get(mm, 0) + c
-    return Polynomial(ring, terms)
-
-
-def _uni_prem(f: dict, g: dict, v: int, ring: RingContext) -> dict:
-    """Pseudo-remainder of univariate views (coefficients are Polynomials)."""
-    dg = max(g)
-    lcg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lcr = r[dr]
-        new: dict = {}
-        for d, c in r.items():
-            new[d] = c * lcg
-        for d, c in g.items():
-            dd = d + dr - dg
-            s = new.get(dd, ring.zero()) - c * lcr
-            if s.is_zero():
-                new.pop(dd, None)
-            else:
-                new[dd] = s
-        r = {d: c for d, c in new.items() if not c.is_zero()}
-    return r
-
-
-def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """GCD normalized to leading coefficient 1; gcd(p,0) = monic p."""
-    if isinstance(p, Polynomial) and isinstance(q, Polynomial) and p.ring != q.ring:
+    Every divisor of a monomial is a monomial, so against a monomial the
+    gcd is the exponent-wise minimum over both supports. Otherwise it is
+    p / r for the generator r of the colon ideal (p) : q = (p / gcd(p, q)),
+    which the Groebner engine computes under budget (a groebner.Budget).
+    """
+    if p.ring != q.ring:
         raise ValueError("mismatched rings")
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    ring = p.ring
-    mp, mq = _mono_content(p), _mono_content(q)
-    common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1, q1 = _shift_down(p, mp), _shift_down(q, mq)
-    core = _gcd_primitive(p1, q1)
-    out = core * ring.monomial(common)
-    return out.monic()
-
-
-def _gcd_primitive(p: Polynomial, q: Polynomial) -> Polynomial:
-    """GCD of monomial-content-free polynomials."""
-    ring = p.ring
     if len(p.terms) == 1 or len(q.terms) == 1:
-        # a monomial with zero content is a constant
-        if len(p.terms) == 1 and sum(next(iter(p.terms))) == 0:
-            return ring.one()
-        if len(q.terms) == 1 and sum(next(iter(q.terms))) == 0:
-            return ring.one()
-    # main variable: last one active in both
-    v = None
-    for i in range(ring.nvars - 1, -1, -1):
-        if any(m[i] for m in p.terms) and any(m[i] for m in q.terms):
-            v = i
-            break
-    if v is None:
-        # no shared variable, and neither is a constant multiple of the other
-        return ring.one()
-    fu, gu = _as_univariate(p, v), _as_univariate(q, v)
-    cf = _content(fu)
-    cg = _content(gu)
-    fp = {d: exact_div(c, cf) for d, c in fu.items()}
-    gp = {d: exact_div(c, cg) for d, c in gu.items()}
-    while True:
-        if not gp:
-            h = fp
-            break
-        if max(gp) == 0:
-            # nonzero constant (in the main variable) divides everything
-            h = {0: ring.one()}
-            break
-        if max(fp) < max(gp):
-            fp, gp = gp, fp
-            continue
-        r = _uni_prem(fp, gp, v, ring)
-        if not r:
-            h = gp
-            break
-        cr = _content(r)
-        fp, gp = gp, {d: exact_div(c, cr) for d, c in r.items()}
-    hp = _from_univariate(h, v, ring)
-    return hp * gcd(cf, cg)
-
-
-def _content(u: dict) -> Polynomial:
-    """GCD of the coefficient polynomials of a univariate view."""
-    it = iter(sorted(u))
-    acc = u[next(it)]
-    for d in it:
-        acc = gcd(acc, u[d])
-        if acc.is_unit():
-            break
-    return acc.monic()
+        return p.ring.monomial(map(min, *p.terms, *q.terms))
+    from .groebner import IdealBasis, quotient  # groebner imports this module
+    (r,) = quotient(IdealBasis([p]), q, budget=budget).generators
+    return exact_div(p, r).monic()

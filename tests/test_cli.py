@@ -217,6 +217,21 @@ def test_construct_block_extension(tmp_path, capsys):
     assert report["result"]["matrix"][3] == ["z4", "0", "0", "0"]
 
 
+def test_construct_hilbert_burch(tmp_path, capsys):
+    # the gcds that normalize gamma here include non-monomial forms in six
+    # variables
+    path = write(tmp_path, "c.json", {
+        "construct": "hilbert-burch",
+        "ring": {"vars": ["x", "y", "z", "u", "v", "w"]},
+        "matrix": [["u", "v", "0", "w"], ["0", "w", "u", "v"], ["v", "0", "w", "u"],
+                   ["w", "u", "v", "x"], ["x", "y", "z", "0"]]})
+    code, report = invoke(capsys, "construct", path)
+    assert code == EXIT_OK
+    assert report["verdict"] == "constructed"
+    assert len(report["result"]["ideal"]) == 4
+    assert report["result"]["zeta"] == 1
+
+
 def test_verify_fast_examples(capsys):
     for name in ("square-4", "gaeta-remark", "closing-remark"):
         code, report = invoke(capsys, "verify-paper-example", name)
@@ -257,6 +272,14 @@ def test_input_errors_exit_one(tmp_path, capsys):
     code, report = invoke(capsys, "gamma", path)
     assert code == EXIT_ERROR
     assert "matrix[0][1]" in report["result"]["error"]
+
+    for k in ("1", 1.5):
+        path = write(tmp_path, "o.json",
+                     {"ring": {"vars": ["x", "y"], "order": ["elim", k]},
+                      "matrix": [["x", "y"], ["x", "y"]]})
+        code, report = invoke(capsys, "gamma", path)
+        assert code == EXIT_ERROR
+        assert "block size must be an integer" in report["result"]["error"]
 
 
 # a non-graded 3x3 presentation matrix whose row ideal is the unit ideal,
@@ -312,6 +335,16 @@ def test_budget_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "not-a-number")
     code, report = invoke(capsys, "resolve", path)
     assert code == EXIT_ERROR
+    # nan and inf would switch the time cap off
+    for raw in ("nan", "inf"):
+        monkeypatch.setenv(BUDGET_ENV, raw)
+        code, report = invoke(capsys, "resolve", path)
+        assert code == EXIT_ERROR, raw
+        assert "finite" in report["result"]["error"]
+    monkeypatch.delenv(BUDGET_ENV)
+    code, report = invoke(capsys, "--budget-seconds", "nan", "resolve", path)
+    assert code == EXIT_ERROR
+    assert "finite" in report["result"]["error"]
 
 
 def test_usage_errors_remap_to_one(capsys):

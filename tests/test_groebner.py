@@ -14,10 +14,12 @@ from presmat import (
     BudgetExceeded,
     IdealBasis,
     ModuleBasis,
+    PolyMatrix,
     Polynomial,
     RingContext,
     UnitIdealError,
     dimension,
+    gamma,
     groebner_basis,
     height,
     hilbert_function,
@@ -39,6 +41,7 @@ from presmat import (
 )
 from presmat import groebner as engine
 from presmat.groebner import module_minimal_generators, module_normal_form
+from presmat.ring import gcd as ring_gcd
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -558,12 +561,11 @@ def test_resolution_exactness_via_hilbert():
         assert rank_contrib(d) == hilbert_function(I, d)
 
 
-# three-variable shapes of the benchmark's ideal corpus; (3, 3, 3) and
-# (3, 3, 3, 3) are left out because verify_exactness takes seconds to minutes
-# on them
-SELF_CERT_SHAPES = ((2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 3, 3))
-# shifts computed with all-pairs syzygies and the restart prune (the two
-# references above); graded Betti numbers do not depend on the algorithm
+# shifts of dense ideals in x, y, z by seed, over the three-variable shapes
+# of the benchmark's ideal corpus; each shape is the first shift list. Seeds
+# 0-7 were computed with all-pairs syzygies and the restart prune (the two
+# references above), the cubic seeds 8-9 with the Koszul oracle; graded
+# Betti numbers do not depend on the algorithm
 SELF_CERT_SHIFTS = {
     0: ((2, 2, 2), (4, 4, 4), (6,)),
     1: ((2, 2, 2, 2), (3, 3, 4, 4, 4), (5, 5)),
@@ -573,16 +575,16 @@ SELF_CERT_SHIFTS = {
     5: ((2, 2, 2), (4, 4, 4), (6,)),
     6: ((2, 2, 2, 2), (3, 3, 4, 4, 4), (5, 5)),
     7: ((2, 2, 2, 2, 2), (3, 3, 3, 3, 3), (5,)),
+    8: ((3, 3, 3), (6, 6, 6), (9,)),
+    9: ((3, 3, 3, 3), (5, 5, 5, 6, 6, 6), (7, 7, 7)),
 }
 
 
-def dense_ideal(seed, ring, degrees=None):
-    """Forms with every monomial of their degree, coefficients in +-1..+-3;
-    the degrees default to a shape picked by the seed."""
+def dense_ideal(seed, ring, degrees):
+    """Forms of the given degrees with every monomial of their degree,
+    coefficients in +-1..+-3."""
     rng = random.Random(seed)
     gens = []
-    if degrees is None:
-        degrees = SELF_CERT_SHAPES[seed % len(SELF_CERT_SHAPES)]
     for degree in degrees:
         monos = [tuple(c.count(v) for v in range(ring.nvars))
                  for c in combinations_with_replacement(range(ring.nvars), degree)]
@@ -593,7 +595,7 @@ def dense_ideal(seed, ring, degrees=None):
 
 @pytest.mark.parametrize("seed", sorted(SELF_CERT_SHIFTS))
 def test_resolution_certifies_itself(seed):
-    I = dense_ideal(seed, XYZ)
+    I = dense_ideal(seed, XYZ, SELF_CERT_SHIFTS[seed][0])
     res = minimal_free_resolution(I, max_length=3)
     assert res.shifts == SELF_CERT_SHIFTS[seed]
     r = XYZ.nvars
@@ -617,8 +619,7 @@ def test_resolution_certifies_itself(seed):
 def test_resolution_matches_koszul_homology(seed, degrees):
     # The Hilbert function fixes only alternating sums of the Betti numbers;
     # Koszul homology fixes each one, so a non-minimal or incomplete
-    # resolution cannot pass. This covers the cubic shapes that
-    # verify_exactness is too slow for.
+    # resolution cannot pass.
     I = dense_ideal(seed, XYZ, degrees)
     res = minimal_free_resolution(I, max_length=3)
     assert res.shifts[0] == degrees
@@ -651,6 +652,15 @@ def twisted_cubic_and_a_multiple():
     return ideal(XYZT, "x*z - y^2", "x*t - y*z", "y*t - z^2", "x*z*t - y^2*t")
 
 
+def common_factor_matrix():
+    # rank 1, and the raw annihilator of its first column, (y - t, -x - t)
+    # times x*z - y^2, has a gcd that is not a monomial
+    return PolyMatrix.from_text(XYZT, [
+        ["(x + t)*(x*z - y^2)", "(x + t)*(z + t)"],
+        ["(y - t)*(x*z - y^2)", "(y - t)*(z + t)"],
+    ])
+
+
 @pytest.mark.parametrize("call", [
     lambda b: intersect(twisted_cubic(), ideal(XYZT, "x", "t^2"), budget=b),
     lambda b: minimal_generators(twisted_cubic_and_a_multiple(), budget=b),
@@ -661,8 +671,12 @@ def twisted_cubic_and_a_multiple():
                                     budget=b),
     lambda b: height(twisted_cubic(), budget=b),
     lambda b: hilbert_function(twisted_cubic(), 3, budget=b),
+    lambda b: ring_gcd(parse("(x*z - y^2)*(x + t)", XYZT),
+                       parse("(x*z - y^2)*(y - t)", XYZT), budget=b),
+    lambda b: gamma(common_factor_matrix(), budget=b),
 ], ids=["intersect", "minimal_generators", "module_minimal_generators",
-        "syzygies", "member_with_cofactors", "height", "hilbert_function"])
+        "syzygies", "member_with_cofactors", "height", "hilbert_function",
+        "gcd", "gamma"])
 def test_budget_caps_reach_every_groebner_entry_point(call):
     call(Budget())
     with pytest.raises(BudgetExceeded):

@@ -126,6 +126,25 @@ def test_check_square4_transpose_fails_on_height():
     assert rep.height_J == 2
 
 
+def test_check_non_graded_with_sextic_annihilator():
+    # the gcds that normalize gamma(M^T) run on sextics in x, y, z with 11
+    # and 18 terms, whose gcd is z
+    M = PolyMatrix.from_text(XYZ, [
+        ["-3/2*x*y", "0", "0", "y*z - 3/2*z^2 + 1"],
+        ["2*z^2", "3/2*x*y", "y", "3*x*y + 3"],
+        ["-3*x^3*y - 9/4*x*y + 3*y*z - 2*z^2 - 3*z", "-9*x*z^2 - 3/2*x*y - 9*z^2",
+         "-3*y*z - 9/2*z^2 - y + 9/2*z",
+         "2*x^2*y*z - 3*x^2*z^2 + 3*y*z^2 + 2*x^2 - 3*x*y + 3/2*y*z - 9/4*z^2"
+         " - 9*z - 3/2"],
+        ["-y + 1", "3*x*z + 3*z", "y + 3/2*z - 3/2", "-y*z + 3"],
+    ])
+    rep = check_presentation(M)
+    assert rep.failure_reason == FAIL_HEIGHT
+    assert rep.height_J == 2
+    assert str(rep.cofactor_unit) == "-3"
+    assert texts(rep.gamma) == ["x^2 + 3/4", "-1/2", "-1/2", "-3/2*z"]
+
+
 def test_check_koszul():
     M = koszul(XYZ, *(XYZ.variable(v) for v in "xyz"))
     rep = check_presentation(M)
@@ -547,14 +566,11 @@ def test_property_pfaffian_agreement():
     rng = random.Random(14)
     cases = 0
     while cases < 200:
-        # quadratic entries only at size 3: size-5 minors of quadrics make
-        # the gcd normalization crawl
         n = 3 if cases % 5 else 5
         upper = {}
         for i in range(n):
             for j in range(i + 1, n):
-                deg = rng.choice([1, 2]) if n == 3 else 1
-                upper[(i, j)] = random_form(rng, XYZ, deg)
+                upper[(i, j)] = random_form(rng, XYZ, rng.choice([1, 2]))
         entries = [[XYZ.zero() for _ in range(n)] for _ in range(n)]
         for (i, j), p in upper.items():
             entries[i][j] = p

@@ -152,6 +152,34 @@ def test_gcd_normalized_leading_coefficient():
     assert g.lead_coeff() == 1 and g == parse("x+y", XYZ)
 
 
+def test_gcd_matches_sympy():
+    # planted common factors, rational coefficients, no grading; gcds agree
+    # with sympy's up to a constant, so literally once both are monic
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    rings = [XYZ, RingContext(["x", "y", "z"], order="lex"),
+             RingContext(["t", "x", "y"], order=("elim", 1))]
+    general = 0
+    for k in range(120):
+        ring = rings[k % len(rings)]
+        symbols = sympy.symbols(ring.variables)
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.prod(s ** e for s, e in zip(symbols, m))
+                        for m, c in p.terms.items()), sympy.Integer(0))
+
+        g = random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
+        p = g * random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
+        q = g * random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
+        theirs = sympy.Poly(sympy.gcd(to_sympy(p), to_sympy(q)), *symbols)
+        want = Polynomial(ring, {tuple(m): Fraction(int(c.p), int(c.q))
+                                 for m, c in theirs.terms()})
+        assert gcd(p, q) == want.monic()
+        general += len(p.terms) > 1 and len(q.terms) > 1 and len(want.terms) > 1
+    assert general > 40  # most cases take the colon-ideal route
+
+
 def test_degree_and_sentinel():
     assert parse("x*v*w", RingContext(["x", "v", "w"])).degree() == 3
     assert XYZ.zero().degree() == NEG_INF
@@ -285,3 +313,9 @@ def test_elimination_block_order():
     # any monomial containing t beats any t-free monomial
     p = parse("t + x^4*y^4", ring)
     assert p.lead_monomial() == (1, 0, 0)
+
+
+@pytest.mark.parametrize("k", ["1", 1.5, True, None])
+def test_elimination_block_size_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        RingContext(["t", "x", "y"], order=("elim", k))
