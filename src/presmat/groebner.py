@@ -16,17 +16,17 @@ on the way in, and results are divided back on the way out, so callers see
 the same Fraction polynomials, monic where a reduced basis is returned.
 One completion loop, _complete, serves bases, prunes and intersections:
 it runs Buchberger with the Gebauer-Moller pair criteria and sugar-degree
-selection, to the end or through a given sugar; the coprime-lead shortcut
-applies only in rank 1, where it is valid. Representations of basis
+selection, to the end or through a given sugar. Representations of basis
 elements in terms of the input generators are tracked on demand by the
 basis of the augmented module [F | I]: input i carries one tag term at
 position rank + i, below every real position, so each element's
 representation is the tail of its own term list, kept by the same integer
-arithmetic. That yields membership cofactors and Schreyer-style
-syzygies; the syzygies lift only the pairs that survive the Gebauer-Moller
-criteria. Minimal generators of ideals and graded modules come from one
-incremental completion per call, truncated at the degree of the candidate
-under test.
+arithmetic. That yields membership cofactors, and syzygies as the tag parts
+of the S-vectors that the tracked run reduces to zero (Schreyer; Moller-
+Mora); so a tracked run keeps the coprime-lead (Koszul) pairs, which an
+untracked run of rank 1 skips. Minimal generators of ideals and graded
+modules come from one incremental completion per call, truncated at the
+degree of the candidate under test.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from operator import add, sub
 from struct import Struct
 
@@ -55,18 +55,22 @@ class Budget:
     """Caps on a computation: wall seconds and merged monomials.
 
     Each Groebner or syzygy step stops at either cap, its seconds counted
-    from the start of the step; a syzygy step's caps cover its tracked
-    basis as well as the pairs it lifts, and a normal form or membership
-    call's cover its basis as well as the reduction of its probe.
-    minimal_free_resolution hands each of its steps the seconds that remain
-    of its budget, so the whole call stops when they run out; each step
-    keeps its own monomial cap.
+    from the start of the step; a syzygy step is the run that builds its
+    tracked basis, whose zero reductions are the relations, and a normal
+    form or membership call's caps cover its basis as well as the
+    reduction of its probe. minimal_free_resolution hands each of its steps
+    the seconds that remain of its budget, so the whole call stops when
+    they run out; each step keeps its own monomial cap. seconds must be
+    finite and not negative: nan or inf would switch the time cap off.
     """
 
     __slots__ = ("seconds", "max_monomials")
 
     def __init__(self, seconds: float = 60.0, max_monomials: int = 10 ** 6):
         self.seconds = float(seconds)
+        if not 0.0 <= self.seconds < inf:  # also rejects nan
+            raise ValueError(f"budget seconds must be finite and not negative, "
+                             f"got {seconds!r}")
         self.max_monomials = int(max_monomials)
 
     def __repr__(self):
@@ -370,10 +374,12 @@ class _Basis:
     tagged, an element [b | rho] has b = sum_i rho_i * input_i. Tags sort
     below every other term, and no lead is a tag. sizes[i] counts the terms
     of elems[i] below the tags, which is what the clock is charged for.
+    relations is None on an untracked basis and, on a tracked one, the
+    zero reductions of its run: vectors with only tag terms.
     """
 
     __slots__ = ("ring", "enc", "rank", "elems", "lpacks", "sizes", "sugars",
-                 "by_pos")
+                 "by_pos", "relations")
 
     def __init__(self, enc: _Encoding, rank: int):
         self.ring = enc.ring
@@ -384,6 +390,7 @@ class _Basis:
         self.sizes = []
         self.sugars = []
         self.by_pos = {}
+        self.relations = None
 
     def append(self, v: list, sugar: int):
         """Store v primitive."""
@@ -505,8 +512,10 @@ def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock) -> list:
     return s
 
 
-def _update_pairs(P: set, basis: _Basis, t: int, scalar: bool):
-    """Gebauer-Moller update of the pair set for new element t."""
+def _update_pairs(P: set, basis: _Basis, t: int):
+    """Gebauer-Moller update of the pair set for new element t; coprime
+    leads skip their pair only in untracked rank 1 (see syzygies)."""
+    scalar = basis.rank == 1 and basis.relations is None
     leads = [basis.lead(i) for i in range(t + 1)]
     tpos, tm = leads[t]
     lcms = {}
@@ -553,13 +562,13 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
     Each step takes the pair of least (sugar, lcm key, j, i), where the
     sugar of (i, j) is the larger of sugars[i] and sugars[j] raised by the
     degree of its lift to the lcm, reduces the S-vector, and appends a
-    remainder with a term below the tags, with its sugar. With upto set,
-    the loop stops before the first pair whose sugar exceeds it; for
-    elements whose sugar is their degree, the basis is then complete
-    through degree upto.
+    remainder with a term below the tags, with its sugar; on a tracked
+    basis, a remainder with only tags left is a relation among the inputs
+    and joins basis.relations. With upto set, the loop stops before the
+    first pair whose sugar exceeds it; for elements whose sugar is their
+    degree, the basis is then complete through degree upto.
     """
     enc, sugars = basis.enc, basis.sugars
-    scalar = basis.rank == 1
 
     def pair_rank(pair):
         i, j = pair
@@ -578,7 +587,9 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
         r, _sigma, sugar = basis.nf(_s_vector(basis, i, j, clock), clock,
                                     sugar=sugar)
         if not basis.is_zero(r):
-            pairs = _update_pairs(pairs, basis, basis.append(r, sugar), scalar)
+            pairs = _update_pairs(pairs, basis, basis.append(r, sugar))
+        elif r:  # only tags remain, so the basis is tracked
+            basis.relations.append(r)
     return pairs
 
 
@@ -600,6 +611,7 @@ def _reduce_basis(basis: _Basis, clock: _Clock) -> _Basis:
         if not redundant:
             kept.append(i)
     out = _Basis(basis.enc, basis.rank)
+    out.relations = basis.relations
     # stage the kept elements, then tail-reduce each against the others
     for i in kept:
         out.append(basis.elems[i], basis.sugars[i])
@@ -620,7 +632,9 @@ def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
     """Reduced basis of the columns of an IdealBasis or ModuleBasis, cached
     on F: elems sorted by leading term, primitive. Tracked bases carry the
     tags of the inputs (see _tagged); a remainder with no term below the
-    tags counts as zero, so no lead is ever a tag."""
+    tags counts as zero, so no lead is ever a tag, and joins the relations,
+    as does the tag of each zero input. The cache keeps them, for a hit
+    has no run to read them from."""
     ring = _ring_with_order(F.ring, order)
     key = ("gb", ring.order, track)
     hit = F._cache.get(key)
@@ -634,10 +648,14 @@ def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
     vecs = _vecs_from_columns(F.columns, enc)
     basis = _Basis(enc, rank)
     pairs: set = set()
+    if track:
+        basis.relations = []
     for v in _tagged(vecs, rank, enc) if track else [v for v, _l in vecs]:
         if not basis.is_zero(v):
             sugar = max(sum(enc.mono(p)) for _k, p, _c in v)
-            pairs = _update_pairs(pairs, basis, basis.append(v, sugar), rank == 1)
+            pairs = _update_pairs(pairs, basis, basis.append(v, sugar))
+        elif track:  # a zero column: its tag e_i is a relation
+            basis.relations.append(v)
     _complete(basis, pairs, clock)
     basis = _reduce_basis(basis, clock)
     F._cache[key] = basis
@@ -868,7 +886,7 @@ def _prune(candidates, rank: int, enc: _Encoding, clock: _Clock) -> list:
         r = basis.nf(v, clock)[0]
         if r:
             kept.append(k)
-            pairs = _update_pairs(pairs, basis, basis.append(r, d), rank == 1)
+            pairs = _update_pairs(pairs, basis, basis.append(r, d))
     return kept
 
 
@@ -937,17 +955,18 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     """Generating set of the first syzygy module of the columns of F, an
     IdealBasis or a ModuleBasis, graded by their degrees when F is graded.
 
-    Schreyer-style, on the Groebner basis of the tagged inputs [F | I]: each
-    input carries a tag that records it, so every basis element [b | rho]
-    has b = sum_i rho_i * input_i. Replay the Gebauer-Moller pair update
-    over that basis, with the coprime shortcut off, and reduce each
-    surviving S-pair: nothing below the tags remains, and the tag part of
-    the remainder is a relation. The surviving pairs generate the syzygies
-    of the lead terms, so by Schreyer's theorem these relations generate
-    the syzygies of the basis. The tag parts of the reduced tagged inputs
-    add the rows of (Id - B*A) that witness how each input reduces to the
-    basis. Zero rows are dropped, and the rest are returned monic and
-    without repeats, sorted by (degree, lead, support).
+    Read from the run that builds the Groebner basis of the tagged inputs
+    [F | I]: each input carries a tag that records it, so every element
+    [b | rho] of the run has b = sum_i rho_i * input_i, and an S-vector
+    that reduces to zero below the tags leaves a relation in its tag part.
+    The pairs the run reduces (those the Gebauer-Moller criteria keep,
+    coprime ones included) generate the syzygies of the lead terms of all
+    its elements, the inputs among them, so by Schreyer's theorem their
+    lifts generate the syzygies of those elements. The tags send the lift
+    of a pair whose remainder joined the run to zero, and that of any
+    other pair to its relation; so these relations, with the tag e_i of
+    each zero input, generate the syzygies of the inputs. They are
+    returned monic and without repeats, sorted by (degree, lead, support).
     """
     if not isinstance(F, (IdealBasis, ModuleBasis)):
         raise TypeError("syzygies expects an IdealBasis or ModuleBasis")
@@ -961,32 +980,12 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
-    # one clock for the tracked basis and the lifts: the step keeps its caps
-    clock = _Clock(budget, "syzygies")
-    tracked = _gb(F, clock, track=True)
+    tracked = _gb(F, _Clock(budget, "syzygies"), track=True)
     enc, rank = tracked.enc, tracked.rank
-    rels = []
-    pairs: set = set()
-    for k in range(len(tracked.elems)):
-        pairs = _update_pairs(pairs, tracked, k, scalar=False)
-    # relations among the basis elements, read in the inputs from the tags
-    for i, j in sorted(pairs):
-        r = tracked.nf(_s_vector(tracked, i, j, clock), clock)[0]
-        if not tracked.is_zero(r):
-            raise RuntimeError("S-pair of a Groebner basis: a term below rank remains")
-        rels.append(r)
-    # rows of (Id - B*A): how each input reduces over the basis
-    for v in _tagged(_vecs_from_columns(inputs, enc), rank, enc):
-        r = tracked.nf(v, clock)[0]
-        if not tracked.is_zero(r):
-            raise RuntimeError("input over its basis: a term below rank remains")
-        rels.append(r)
-    # normalize, dedupe, sort
     out = {}
-    for r in rels:
-        if r:
-            v = _primitive(_tag_part(r, rank, enc))[0]
-            out.setdefault(tuple(v), v)
+    for r in tracked.relations:
+        v = _primitive(_tag_part(r, rank, enc))[0]
+        out.setdefault(tuple(v), v)
 
     def syz_rank(v):
         support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
@@ -1017,10 +1016,10 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     of a minimal homogeneous generating set with a nonzero constant entry
     would make that generator redundant (graded Nakayama). The shifts are
     the graded Betti numbers and do not depend on the generators chosen;
-    the maps are one valid choice, fixed by the Gebauer-Moller pairs of each
-    syzygy step and the greedy prune. The result is exact at every computed
-    module except possibly the leftmost one when the loop stops at
-    max_length; rerun with a larger bound to certify the tail.
+    the maps are one valid choice, fixed by the zero reductions of each
+    syzygy step's tracked run and the greedy prune. The result is exact at
+    every computed module except possibly the leftmost one when the loop
+    stops at max_length; rerun with a larger bound to certify the tail.
     """
     _require_homogeneous(I)
     ring = I.ring

@@ -626,6 +626,17 @@ def test_resolution_matches_koszul_homology(seed, degrees):
     assert_koszul_agrees(I, res)
 
 
+def test_five_quadrics_in_four_variables_match_koszul_homology():
+    # four variables, so max_length=4 resolves R/I to the end
+    ring = RingContext(("x0", "x1", "x2", "x3"))
+    I = ideal(ring, "3*x1*x2 - 2*x0*x3 - 3*x3^2", "2*x1^2 - 3*x0*x2 - 2*x2^2",
+              "-3*x0^2 + 3*x0*x2 - x3^2", "-2*x1*x2 - 2*x2*x3 - 3*x3^2",
+              "2*x0*x1 - x0*x2 - x1*x2")
+    res = minimal_free_resolution(I, max_length=4)
+    assert res.shifts[0] == (2, 2, 2, 2, 2)
+    assert_koszul_agrees(I, res)
+
+
 def test_resolution_rejects_inhomogeneous_and_unit():
     with pytest.raises(ValueError):
         minimal_free_resolution(ideal(XYZ, "x^2 + y"))
@@ -701,8 +712,9 @@ def test_budget_caps_the_reduction_of_the_probe():
 
 
 def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
-    # the tracked basis and the lifted pairs share the step's one clock, so
-    # a cap that each part fits under alone stops the step
+    # the step is the run that builds its tracked basis, whose zero
+    # reductions are the relations: it charges exactly what that run
+    # charges alone, and a cap one below that stops it
     charged = []
     tick = engine._Clock.tick
 
@@ -716,12 +728,20 @@ def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
     del charged[:]
     syzygies(twisted_cubic())
     step = sum(charged)
-    lifts = step - basis_clock.work
-    assert basis_clock.work > 0 and lifts > 0
+    assert step == basis_clock.work > 0
     syzygies(twisted_cubic(), budget=Budget(max_monomials=step))
     with pytest.raises(BudgetExceeded, match="^syzygies: monomial"):
-        syzygies(twisted_cubic(),
-                 budget=Budget(max_monomials=max(basis_clock.work, lifts)))
+        syzygies(twisted_cubic(), budget=Budget(max_monomials=step - 1))
+
+
+def test_budget_rejects_seconds_that_switch_the_time_cap_off():
+    # nan and inf put the deadline out of reach, and a negative one has
+    # passed before the step starts; zero stays valid, as
+    # minimal_free_resolution hands its steps max(0, the seconds that remain)
+    for bad in (float("nan"), float("inf"), float("-inf"), -1.0):
+        with pytest.raises(ValueError, match="^budget seconds"):
+            Budget(seconds=bad)
+    assert Budget(seconds=0.0).seconds == 0.0
 
 
 def test_vector_degree():
@@ -884,7 +904,9 @@ def seeded_cases(rng, count):
 
 def test_tracking_adds_no_work_charge(monkeypatch):
     # Tags ride along in every reduction of a tracked basis, but the clock
-    # is charged only for the terms below them: tracking costs no work.
+    # is charged only for the terms below them: in rank > 1 tracking costs
+    # no work. A tracked ideal run also reduces the coprime-lead (Koszul)
+    # pairs that an untracked one skips, since its relations are needed.
     charged = []
     tick = engine._Clock.tick
 
@@ -893,7 +915,7 @@ def test_tracking_adds_no_work_charge(monkeypatch):
         return tick(self, amount)
 
     monkeypatch.setattr(engine._Clock, "tick", counting_tick)
-    works = []
+    works, koszul_work = [], 0
     for F in seeded_cases(random.Random(101), 40):
         rank = F.ambient_rank
         totals, bases = [], []
@@ -903,10 +925,15 @@ def test_tracking_adds_no_work_charge(monkeypatch):
             totals.append((len(charged), sum(charged)))
             bases.append([engine._terms_to_polys(v, rank, basis.enc, v[0][2])
                           for v in basis.elems])
-        assert totals[0] == totals[1]
+        if rank > 1:
+            assert totals[0] == totals[1]
+        else:
+            assert totals[1][1] >= totals[0][1]
+            koszul_work += totals[1][1] - totals[0][1]
         assert bases[0] == bases[1]
         works.append(totals[0][1])
     assert sum(w > 0 for w in works) >= 35
+    assert koszul_work > 0
 
 
 def untracked_answers(F, probes):
@@ -958,6 +985,12 @@ def test_tags_never_leak():
         second = fresh(F)
         untracked_answers(second, probes)
         assert tracked_answers(second, probes) == tracked_answers(fresh(F), probes)
+        if isinstance(F, IdealBasis):
+            # a cache hit has no run to read relations from: they are cached
+            third = fresh(F)
+            for p in probes:
+                member_with_cofactors(p, third)
+            assert syzygies(third).generators == syzygies(fresh(F)).generators
 
 
 def test_ideal_is_the_rank_one_module():
