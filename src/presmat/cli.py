@@ -82,29 +82,30 @@ class CliError(Exception):
 # -- input decoding ------------------------------------------------------------
 
 
-def _load_document(path: str) -> dict:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def _decode(payload: bytes, where: str) -> dict:
+    try:
+        doc = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise CliError("%s: invalid JSON at line %d: %s"
-                       % (path, exc.lineno, exc.msg)) from exc
+                       % (where, exc.lineno, exc.msg)) from exc
     if not isinstance(doc, dict):
-        raise CliError("%s: top-level value must be an object" % path)
+        raise CliError("%s: top-level value must be an object" % where)
     return doc
 
 
-def _digest(path: str | None, fallback: bytes = b"") -> str:
-    if path is None:
-        payload = fallback
-    else:
-        try:
-            with open(path, "rb") as fh:
-                payload = fh.read()
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (path, exc)) from exc
+def _load_document(path: str) -> dict:
+    return _decode(_read(path), path)
+
+
+def _digest(payload: bytes) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -155,13 +156,29 @@ def _ideal_from(doc: dict, ring: RingContext) -> IdealBasis:
     return IdealBasis(polys, ring=ring)
 
 
+def _integer(value, field: str) -> int:
+    """value if it is a JSON integer; an absent field arrives as None. int()
+    would truncate a float, read true as 1 and parse a string."""
+    if type(value) is not int:
+        raise CliError('"%s" must be an integer, got %s' % (field, json.dumps(value)))
+    return value
+
+
+def _integers(values, field: str) -> list:
+    if not isinstance(values, list):
+        raise CliError('"%s" must be a list of integers' % field)
+    return [_integer(v, "%s[%d]" % (field, i)) for i, v in enumerate(values)]
+
+
 def _sequence_from(doc: dict, key: str = "sequence") -> BettiSequence:
     spec = doc.get(key)
     if not isinstance(spec, dict):
         raise CliError('document needs "%s": {"a": [...], "b": [...], "s": n}' % key)
     try:
-        return BettiSequence(spec["a"], spec["b"], spec["s"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return BettiSequence(_integers(spec.get("a"), key + ".a"),
+                             _integers(spec.get("b"), key + ".b"),
+                             _integer(spec.get("s"), key + ".s"))
+    except ValueError as exc:
         raise CliError("bad %s: %s" % (key, exc)) from exc
 
 
@@ -365,13 +382,8 @@ def _cmd_betti_reduce(args, budget):
 def _cmd_betti_lift(args, budget):
     doc = _load_document(args.input)
     seq = _sequence_from(doc)
-    exponents = doc.get("exponents")
-    if not isinstance(exponents, list):
-        raise CliError('document needs "exponents": [u_1, ..., u_n]')
-    try:
-        lifted = lift(seq, exponents)
-    except TypeError as exc:
-        raise CliError(str(exc)) from exc
+    exponents = _integers(doc.get("exponents"), "exponents")
+    lifted = lift(seq, exponents)
     result = {
         "sequence": _sequence_dict(seq),
         "exponents": list(exponents),
@@ -381,10 +393,7 @@ def _cmd_betti_lift(args, budget):
 
 
 def _construct_homogeneous(doc, budget):
-    try:
-        n, a, b = int(doc["n"]), int(doc["a"]), int(doc["b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError('homogeneous construction needs integer "n", "a", "b"') from exc
+    n, a, b = (_integer(doc.get(k), k) for k in ("n", "a", "b"))
     verdict = classify_homogeneous(n, a, b)
     status, witness = _verdict_payload(verdict)
     if status != ESSENTIAL:
@@ -430,10 +439,10 @@ def _construct_product(doc, budget):
 def _construct_lift(doc, budget):
     ring = _ring_from(doc)
     M = _matrix_from(doc, ring)
-    exponents = doc.get("exponents")
+    exponents = _integers(doc.get("exponents"), "exponents")
     fresh = doc.get("fresh_vars")
-    if not isinstance(exponents, list) or not isinstance(fresh, list):
-        raise CliError('lift construction needs "exponents" and "fresh_vars"')
+    if not isinstance(fresh, list):
+        raise CliError('lift construction needs "fresh_vars"')
     lifted = lift_matrix(M, exponents, fresh, budget=budget)
     result = {
         "ring": list(lifted.ring.variables),
@@ -444,11 +453,7 @@ def _construct_lift(doc, budget):
 
 
 def _construct_star(doc, budget):
-    try:
-        n = int(doc["size"])
-        left_t, right_t = int(doc["left_t"]), int(doc["right_t"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError('star construction needs integer "size", "left_t", "right_t"') from exc
+    n, left_t, right_t = (_integer(doc.get(k), k) for k in ("size", "left_t", "right_t"))
     left = base_bidiagonal(n, left_t, ["x%d" % (i + 1) for i in range(n)])
     right = base_bidiagonal(n, right_t, ["y%d" % (i + 1) for i in range(n)])
     product = star_product(left, right, budget=budget)
@@ -482,10 +487,7 @@ def _construct_block_extension(doc, budget):
     inner_matrix = _matrix_from(doc, ring)
     inner_seq = _sequence_from(doc, key="inner")
     outer_seq = _sequence_from(doc, key="outer")
-    try:
-        t = int(doc["t"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError('block extension needs integer "t"') from exc
+    t = _integer(doc.get("t"), "t")
     M = nogaeta_extend((inner_matrix, inner_seq), outer_seq, t, budget=budget)
     result = {
         "ring": list(M.ring.variables),
@@ -518,15 +520,15 @@ def _cmd_construct(args, budget):
 # -- paper scenarios ---------------------------------------------------------------
 
 
-def _fixture_document(name: str, fixtures_dir: str | None) -> dict:
+def _fixture_bytes(name: str, fixtures_dir: str | None) -> bytes:
+    """The fixture document of the named example, packaged or loaded."""
     if fixtures_dir is not None:
-        return _load_document(os.path.join(fixtures_dir, name + ".json"))
+        return _read(os.path.join(fixtures_dir, name + ".json"))
     ref = resources.files("presmat").joinpath("fixtures/%s.json" % name)
     if not ref.is_file():
         raise CliError("unknown example %r; available: %s"
                        % (name, ", ".join(PAPER_EXAMPLES)))
-    with ref.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return ref.read_bytes()
 
 
 def _scenario_matrix_check(doc, budget, timings):
@@ -610,7 +612,7 @@ _SCENARIOS = {
 
 
 def _cmd_verify_paper_example(args, budget, timings):
-    doc = _fixture_document(args.name, args.fixtures_dir)
+    doc = _decode(_fixture_bytes(args.name, args.fixtures_dir), args.name)
     runner = _SCENARIOS.get(doc.get("scenario"))
     if runner is None:
         raise CliError("fixture %r has no runnable scenario" % args.name)
@@ -692,14 +694,13 @@ _HANDLERS = {
 def _input_digest(args) -> str:
     path = getattr(args, "input", None)
     if path is not None:
-        return _digest(path)
+        return _digest(_read(path))
     if getattr(args, "homogeneous", None) is not None:
         n, a, b = args.homogeneous
-        return _digest(None, b"homogeneous:%d:%d:%d" % (n, a, b))
-    name = getattr(args, "name", None)
-    if name is not None:
-        return _digest(None, name.encode())
-    return _digest(None)
+        return _digest(b"homogeneous:%d:%d:%d" % (n, a, b))
+    if args.command == "verify-paper-example":
+        return _digest(_fixture_bytes(args.name, args.fixtures_dir))
+    return _digest(b"")
 
 
 def _emit(report: dict, fmt: str) -> None:

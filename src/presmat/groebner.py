@@ -62,6 +62,7 @@ class Budget:
     the seconds that remain of its budget, so the whole call stops when
     they run out; each step keeps its own monomial cap. seconds must be
     finite and not negative: nan or inf would switch the time cap off.
+    max_monomials must be an int (not a bool) and not negative.
     """
 
     __slots__ = ("seconds", "max_monomials")
@@ -71,7 +72,10 @@ class Budget:
         if not 0.0 <= self.seconds < inf:  # also rejects nan
             raise ValueError(f"budget seconds must be finite and not negative, "
                              f"got {seconds!r}")
-        self.max_monomials = int(max_monomials)
+        if type(max_monomials) is not int or max_monomials < 0:
+            raise ValueError(f"budget max_monomials must be an int and not negative, "
+                             f"got {max_monomials!r}")
+        self.max_monomials = max_monomials
 
     def __repr__(self):
         return f"Budget(seconds={self.seconds}, max_monomials={self.max_monomials})"

@@ -1,13 +1,14 @@
 """Exact linear algebra over the polynomial ring.
 
-Determinants, rank and kernels use fraction-free (Bareiss) elimination, so
-every intermediate value stays a polynomial; pivots prefer the
-lowest-degree nonzero entry to limit swell. Elimination runs column by
+Determinants, rank and kernels share one fraction-free (Bareiss)
+elimination, so every intermediate value stays a polynomial; pivots prefer
+the lowest-degree nonzero entry to limit swell. Elimination runs column by
 column, so its pivot columns are the lexicographically first full-rank
-column subset. A fraction-free Gauss-Jordan elimination of an (n-1) x n
-matrix yields all n of its signed maximal minors at once (its Cramer
-kernel vector), and the cofactor matrix of an n x n matrix is built from
-n of those, one per deleted row, instead of n^2 determinants. Pfaffians
+column subset. Eliminating [A | I] with pivots in A's columns only gives
+those pivot columns and, at rank rows - 1, all signed maximal minors of
+the pivot columns (the left kernel vector) in the identity part of the
+leftover row. The cofactor matrix of an n x n matrix is built from n of
+those, one per deleted column, instead of n^2 determinants. Pfaffians
 expand recursively along the first row, which is fine at the sizes that
 occur here.
 """
@@ -187,7 +188,7 @@ def det(M: PolyMatrix) -> Polynomial:
     """Exact determinant by Bareiss elimination."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, sign = _eliminate(M.entries, M.ring, jordan=False)
+    a, pivots, sign = _eliminate(M.entries, M.cols)
     if len(pivots) < M.rows:
         return M.ring.zero()
     return a[-1][-1] if sign == 1 else -a[-1][-1]
@@ -205,29 +206,28 @@ def minor(M: PolyMatrix, rows, cols) -> Polynomial:
     return det(M.submatrix(rows, cols))
 
 
-def _eliminate(rows, ring: RingContext, jordan: bool):
+def _eliminate(rows, pivot_cols: int):
     """Column-ordered fraction-free elimination of a copy of rows.
 
-    Each column in turn takes as pivot its lowest-degree nonzero entry among
-    the rows not yet used, and is skipped when it has none, so the pivot
-    columns are the greedy (lexicographically first) full-rank column
-    subset. Every update divides exactly by the previous pivot. Without
-    jordan only the rows below a pivot are cleared. With jordan the rows
-    above it are cleared too (Gauss-Jordan): then every pivot column is,
-    implicitly, the last pivot times a unit vector, and each other column
-    holds, in row r, the determinant of the row-swapped pivot columns with
-    the r-th of them replaced by that column. Entries in pivot columns are
-    not written.
+    Each of the first pivot_cols columns in turn takes as pivot its
+    lowest-degree nonzero entry among the rows not yet used, and is skipped
+    when it has none, so the pivot columns are the greedy
+    (lexicographically first) full-rank column subset; later columns, such
+    as left_kernel's identity block, are only carried along. The rows below
+    a pivot are cleared, dividing exactly by the previous pivot, so after k
+    pivots entry (i, j), i >= k, is the determinant of the row-swapped
+    input on rows 0..k-1 and i and on the pivot columns and j (Sylvester's
+    identity). Products with a zero factor and the first step's division
+    by 1 are skipped. Entries left of the current column are not written.
 
     Returns (a, pivots, sign), where sign is -1 when the row swaps are odd.
     """
     a = [list(row) for row in rows]
     nrows, ncols = len(a), len(a[0])
-    zero = ring.zero()
-    prev = ring.one()
-    pivots, skipped = [], []
+    prev = None  # the first step divides by 1
+    pivots = []
     sign = 1
-    for col in range(ncols):
+    for col in range(pivot_cols):
         r = len(pivots)
         if r == nrows:
             break
@@ -240,82 +240,74 @@ def _eliminate(rows, ring: RingContext, jordan: bool):
                 if best is None or dr < best:
                     best, pivot_row = dr, i
         if pivot_row is None:
-            skipped.append(col)
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             sign = -sign
-        pk = a[r][col]
-        cols = list(range(col + 1, ncols))
-        targets = range(r + 1, nrows)
-        if jordan:
-            cols = skipped + cols
-            targets = [i for i in range(nrows) if i != r]
-        for i in targets:
-            aik = a[i][col]
-            for j in cols:
-                num = pk * a[i][j] - aik * a[r][j]
-                a[i][j] = exact_div(num, prev) if num else zero
+        ar = a[r]
+        pk = ar[col]
+        for i in range(r + 1, nrows):
+            ai = a[i]
+            aik = ai[col]
+            for j in range(col + 1, ncols):
+                aij, arj = ai[j], ar[j]
+                if aik and arj:
+                    num = pk * aij - aik * arj if aij else -(aik * arj)
+                elif aij:
+                    num = pk * aij
+                else:  # both products vanish
+                    continue
+                ai[j] = exact_div(num, prev) if num and prev is not None else num
         prev = pk
         pivots.append(col)
     return a, pivots, sign
 
 
-def pivot_columns(M: PolyMatrix) -> list:
-    """Pivot columns of a column-ordered elimination of M, in order.
-
-    Their number is the rank of M, and they are the lexicographically first
-    set of columns of full rank.
-    """
-    return _eliminate(M.entries, M.ring, jordan=False)[1]
-
-
 def rank(M: PolyMatrix) -> int:
     """Symbolic rank over the fraction field via fraction-free elimination."""
-    return len(pivot_columns(M))
+    return len(_eliminate(M.entries, M.cols)[1])
 
 
-def kernel_vector(N: PolyMatrix) -> list:
-    """v_k = (-1)^k * (maximal minor of N deleting column k), for (n-1) x n N.
+def left_kernel(A: PolyMatrix):
+    """Pivot columns of A and, at rank rows - 1, its signed maximal minors.
 
-    N v = 0, and v is zero exactly when N has rank below n - 1. One
-    Gauss-Jordan elimination gives every component. Let B be the pivot
-    columns, q the other column and d the last pivot, which is det(B) times
-    the sign of the row swaps. The eliminated column q holds d * x, where
-    B x = N_q. So -d * x on the pivot columns and d at q span the kernel,
-    and v is that vector times (-1)^q and the sign of the row swaps.
+    One elimination of [A | I] that pivots only in A's columns. pivots are
+    the lexicographically first full-rank column subset P of A. When they
+    number rows - 1, the leftover last row holds in identity column i the
+    determinant of the row-swapped [A_P | e_i], which is s * (-1)^(i +
+    rows - 1) * det(A_P without row i) for s the sign of the row swaps.
+    Returns v_i = (-1)^i * det(A_P without row i) then, so v A = 0 and v
+    is nonzero; at any other rank v is None.
     """
-    n = N.cols
-    if N.rows != n - 1:
-        raise ValueError("kernel_vector needs an (n-1) x n matrix")
-    ring = N.ring
-    a, pivots, sign = _eliminate(N.entries, ring, jordan=True)
-    if len(pivots) < n - 1:
-        return [ring.zero()] * n
-    q = next(j for j in range(n) if j not in pivots)
-    v = [None] * n
-    v[q] = a[-1][pivots[-1]]
-    for r, p in enumerate(pivots):
-        v[p] = -a[r][q]
-    return v if sign * (-1) ** q == 1 else [-p for p in v]
+    n, m = A.rows, A.cols
+    ring = A.ring
+    one, zero = ring.one(), ring.zero()
+    augmented = [list(row) + [one if k == i else zero for k in range(n)]
+                 for i, row in enumerate(A.entries)]
+    a, pivots, sign = _eliminate(augmented, m)
+    if len(pivots) != n - 1:
+        return pivots, None
+    tail = a[-1][m:]
+    return pivots, tail if sign * (-1) ** (n - 1) == 1 else [-p for p in tail]
 
 
 def cofactor_matrix(M: PolyMatrix) -> PolyMatrix:
     """C_ij = (-1)^(i+j) * minor deleting row i and column j.
 
-    Row i is (-1)^i times the kernel vector of M with row i deleted, so the
-    matrix costs n eliminations rather than n^2 determinants.
+    Column j is (-1)^j times the left kernel vector of M with column j
+    deleted, or zero when that n x (n-1) matrix has rank below n - 1, so
+    the matrix costs n eliminations rather than n^2 determinants.
     """
     if not M.is_square():
         raise ValueError("cofactor matrix of a non-square matrix")
     n = M.rows
     if n == 1:
         return PolyMatrix(M.ring, [[M.ring.one()]])
-    out = []
-    for i in range(n):
-        v = kernel_vector(M.delete(row=i))
-        out.append(v if i % 2 == 0 else [-p for p in v])
-    return PolyMatrix(M.ring, out)
+    cols = []
+    for j in range(n):
+        v = left_kernel(M.delete(col=j))[1] or [M.ring.zero()] * n
+        cols.append(v if j % 2 == 0 else [-p for p in v])
+    return PolyMatrix(M.ring, zip(*cols))
 
 
 # -- pfaffians ---------------------------------------------------------------

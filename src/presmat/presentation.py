@@ -29,9 +29,8 @@ from .groebner import (
 from .matrices import (
     PolyMatrix,
     check_graded,
-    kernel_vector,
+    left_kernel,
     minor,
-    pivot_columns,
     rank,
 )
 from .ring import exact_div, gcd
@@ -75,15 +74,14 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _annihilator(M: PolyMatrix, chosen, budget: Budget | None):
-    """Raw and normalized row annihilator of M from n-1 independent columns.
+def _annihilator(M: PolyMatrix, chosen, raw, budget: Budget | None) -> GammaVector:
+    """Normalized row annihilator of M from its left kernel vector raw.
 
-    raw is the kernel vector of the chosen columns, transposed: with q the
-    column left out, raw_i = (-1)^q * C_iq for the cofactor matrix C of a
-    square M. The normalized vector has the gcd of raw divided out and its
-    first nonzero component monic; it must annihilate all of M.
+    raw comes from left_kernel(M), whose pivot columns are chosen: with q
+    the column left out, raw_i = (-1)^q * C_iq for the cofactor matrix C of
+    a square M. The normalized vector has the gcd of raw divided out and
+    its first nonzero component monic; it must annihilate all of M.
     """
-    raw = kernel_vector(M.submatrix(range(M.rows), chosen).transpose())
     ring = M.ring
     common = ring.zero()
     for p in raw:
@@ -99,22 +97,24 @@ def _annihilator(M: PolyMatrix, chosen, budget: Budget | None):
             total = total + components[i] * M.entry(i, j)
         if not total.is_zero():
             raise AssertionError("annihilator check failed; rank computation is off")
-    return raw, GammaVector(components, M, chosen,
-                            "gcd removed; first nonzero component monic")
+    return GammaVector(components, M, chosen,
+                       "gcd removed; first nonzero component monic")
 
 
 def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     """Normalized generator of the row annihilator of M (rank must be n-1).
 
     The defining submatrix is the lexicographically first full-rank choice
-    of n-1 columns, the pivot columns of one column-ordered elimination;
-    the result does not depend on it (up to the fixed normalization), which
-    the tests exercise over all subsets.
+    of n-1 columns, the pivot columns of the one elimination left_kernel
+    runs; the result does not depend on it (up to the fixed normalization),
+    which the tests exercise over all subsets.
     """
-    chosen = pivot_columns(M)
-    if len(chosen) != M.rows - 1:
+    chosen, raw = left_kernel(M)
+    if raw is None:
         raise ValueError("gamma needs rank exactly rows - 1")
-    return _annihilator(M, chosen, budget)[1]
+    if M.rows < 2:  # a zero row has that rank, and raw = (1,)
+        raise ValueError("gamma needs at least two rows")
+    return _annihilator(M, chosen, raw, budget)
 
 
 class PresentationReport:
@@ -163,20 +163,21 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     M must have rank n-1; then g = gamma(M) and h = gamma(M^T). At that
     rank the cofactor matrix C has rank 1 with columns in the span of g and
     rows in the span of h, and as both are primitive, C = u * g * h^T for a
-    polynomial u, read off the one column of C that gamma's kernel
-    elimination yields. It requires u to be a nonzero constant, and the
-    ideal of the h components to have height at least 3. Failures are
-    reported, never raised.
+    polynomial u. Each annihilator costs one elimination of [A | I]: the
+    one on M gives the rank, the pivot columns and the column of C that
+    they leave out, from which u is read off. It requires u to be a
+    nonzero constant, and the ideal of the h components to have height at
+    least 3. Failures are reported, never raised.
     """
     n = M.rows
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
     is_minimal = all(p.constant_term() == 0 for row in M.entries for p in row)
-    chosen = pivot_columns(M)
-    if len(chosen) != n - 1:
+    chosen, raw = left_kernel(M)
+    if raw is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    raw, g = _annihilator(M, chosen, budget)
+    g = _annihilator(M, chosen, raw, budget)
     h = gamma(M.transpose(), budget=budget)
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
@@ -444,10 +445,10 @@ def decompose(B: PolyMatrix, budget: Budget | None = None) -> DecompositionRepor
     n = B.cols
     if B.rows != n + 1:
         raise ValueError("decompose needs an (n+1) x n matrix")
-    # (-1)^i times the minor of B without row i, from one elimination; it is
-    # zero exactly when B lacks full column rank
-    minors = kernel_vector(B.transpose())
-    if all(m.is_zero() for m in minors):
+    # (-1)^i times the minor of B without row i, from one elimination; there
+    # is none unless B has full column rank
+    minors = left_kernel(B)[1]
+    if minors is None:
         raise ValueError("decompose needs full column rank")
     ring = B.ring
     through_H = minors[:n]

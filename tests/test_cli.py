@@ -1,5 +1,6 @@
 """CLI tests: JSON envelopes, exit statuses, fixtures, budgets."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,32 @@ def test_verify_fast_examples(capsys):
         assert all(report["result"]["checks"].values())
 
 
+def test_verify_digests_the_fixture_document_that_ran(tmp_path, capsys):
+    # two fixtures of the same name but different content must not share a
+    # digest; each digest is that of the document's bytes
+    packaged = resources.files("presmat").joinpath("fixtures/square-4.json")
+    code, report = invoke(capsys, "verify-paper-example", "square-4")
+    assert code == EXIT_OK
+    assert report["input_digest"] == \
+        "sha256:" + hashlib.sha256(packaged.read_bytes()).hexdigest()
+    doc = json.loads(packaged.read_text(encoding="utf-8"))
+    wrong = dict(doc, expect=dict(doc["expect"], check=False))
+    digests = {}
+    for label, fixture, verdict in (("same", doc, "confirmed"),
+                                    ("wrong", wrong, "contradicted")):
+        folder = tmp_path / label
+        folder.mkdir()
+        path = write(folder, "square-4.json", fixture)
+        code, report = invoke(capsys, "verify-paper-example", "square-4",
+                              "--fixtures-dir", str(folder))
+        assert report["verdict"] == verdict
+        with open(path, "rb") as fh:
+            expected = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        assert report["input_digest"] == expected
+        digests[label] = expected
+    assert digests["same"] != digests["wrong"]
+
+
 def test_verify_closing_remark_reports_stretch(capsys):
     code, report = invoke(capsys, "verify-paper-example", "closing-remark")
     assert code == EXIT_OK
@@ -280,6 +307,22 @@ def test_input_errors_exit_one(tmp_path, capsys):
         code, report = invoke(capsys, "gamma", path)
         assert code == EXIT_ERROR
         assert "block size must be an integer" in report["result"]["error"]
+
+    # integer fields take JSON integers only: int() would truncate 5.9 to 5,
+    # read true as 1 and parse "5"
+    koszul = {"a": [1, 1, 1], "b": [2, 2, 2], "s": 3}
+    for command, doc, field in (
+            ("construct", {"construct": "homogeneous", "n": 5.9, "a": 3, "b": 4},
+             '"n"'),
+            ("construct", {"construct": "star", "size": "5", "left_t": 1.9,
+                           "right_t": True}, '"size"'),
+            ("betti-classify", {"sequence": dict(koszul, a=[1.5, 1, 1])},
+             '"sequence.a[0]"'),
+            ("betti-lift", {"sequence": koszul, "exponents": [0.7, True, "2"]},
+             '"exponents[0]"')):
+        code, report = invoke(capsys, command, write(tmp_path, "i.json", doc))
+        assert code == EXIT_ERROR
+        assert report["result"]["error"].startswith(field + " must be an integer")
 
 
 # a non-graded 3x3 presentation matrix whose row ideal is the unit ideal,

@@ -744,6 +744,15 @@ def test_budget_rejects_seconds_that_switch_the_time_cap_off():
     assert Budget(seconds=0.0).seconds == 0.0
 
 
+def test_budget_rejects_monomial_caps_that_are_not_counts():
+    # int() would cap 2.5 at 2 and True at 1, and inf would overflow
+    for bad in (2.5, True, False, -3, float("inf"), float("nan"), "10", None):
+        with pytest.raises(ValueError, match="^budget max_monomials"):
+            Budget(max_monomials=bad)
+    assert Budget(max_monomials=0).max_monomials == 0
+    assert Budget(max_monomials=10 ** 8).max_monomials == 10 ** 8
+
+
 def test_vector_degree():
     v = (parse("x^2", XYZ), parse("y", XYZ))
     assert vector_degree(v, (1, 2)) == 3

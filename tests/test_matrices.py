@@ -15,10 +15,10 @@ from presmat.matrices import (
     cofactor_matrix,
     degree_matrix,
     det,
+    left_kernel,
     minor,
     pfaffian,
     pfaffians,
-    pivot_columns,
     rank,
 )
 from presmat.ring import RingContext, exact_div
@@ -300,7 +300,68 @@ def test_pivot_columns_are_first_full_rank_subset():
         first = () if r == 0 else next(
             s for s in combinations(range(m), r)
             if rank(M.submatrix(range(n), s)) == r)
-        assert tuple(pivot_columns(M)) == first
+        assert tuple(left_kernel(M)[0]) == first
+
+
+def laplace_pivots(M):
+    """The lexicographically first column subset of the largest size with
+    a nonzero maximal minor, by Laplace expansion."""
+    for k in range(min(M.rows, M.cols), 0, -1):
+        for cols in combinations(range(M.cols), k):
+            if any(oracle_det([[M.entries[i][j] for j in cols] for i in rows])
+                   for rows in combinations(range(M.rows), k)):
+                return cols
+    return ()
+
+
+def laplace_left_kernel(M, cols):
+    """v_i = (-1)^i * det(M restricted to cols, without row i), one
+    Laplace determinant per entry; the empty determinant is 1."""
+    one = M.ring.one()
+    out = []
+    for i in range(M.rows):
+        rows = [r for r in range(M.rows) if r != i]
+        d = oracle_det([[M.entries[r][j] for j in cols] for r in rows]) \
+            if rows else one
+        out.append(d if i % 2 == 0 else -d)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+def test_left_kernel_matches_determinant_oracle(shape):
+    # square n x n, n x m with m >= n - 1, and (n+1) x n; a constant factor
+    # of inner size r plants rank r, below rows - 1 included
+    rng = random.Random({"square": 3300, "wide": 3301, "tall": 3302}[shape])
+    ring = RingContext(["x", "y", "z"])
+    kernels = deficient = 0
+    for _ in range(40):
+        if shape == "tall":
+            m = rng.randint(1, 3)
+            n = m + 1
+        else:
+            n = rng.randint(1, 4)
+            m = n if shape == "square" else rng.randint(max(1, n - 1), n + 2)
+        r = rng.randint(0, min(n, m))
+        if r == 0:
+            M = PolyMatrix(ring, [[ring.zero()] * m for _ in range(n)])
+        else:
+            M = linear_matrix(rng, ring, n, r) @ PolyMatrix(
+                ring, [[ring.constant(rng.randint(-2, 2)) for _ in range(m)]
+                       for _ in range(r)])
+        pivots, v = left_kernel(M)
+        expected = laplace_pivots(M)
+        assert tuple(pivots) == expected
+        if len(expected) != n - 1:
+            assert v is None
+            deficient += len(expected) < n - 1
+            continue
+        assert v == laplace_left_kernel(M, expected)
+        assert any(v)
+        for j in range(m):
+            assert sum((v[i] * M.entries[i][j] for i in range(n)),
+                       ring.zero()).is_zero()
+        kernels += 1
+    assert kernels >= 8 and deficient >= 4
 
 
 def test_rank_transpose_symmetry():

@@ -85,6 +85,16 @@ def test_gamma_rejects_wrong_rank():
         gamma(PolyMatrix(XYZ, [[XYZ.zero()] * 3] * 3))
 
 
+def test_gamma_rejects_one_row_matrices():
+    # a zero row has rank rows - 1 = 0, but no annihilator of interest
+    for row in (["0", "0"], ["0"]):
+        with pytest.raises(ValueError, match="at least two rows"):
+            gamma(PolyMatrix.from_text(XYZ, [row]))
+    for row in (["x", "y"], ["1"]):
+        with pytest.raises(ValueError, match="rank exactly rows - 1"):
+            gamma(PolyMatrix.from_text(XYZ, [row]))
+
+
 def test_gamma_strips_common_factor():
     # scaling the whole matrix leaves the normalized annihilator unchanged
     M = square4()
@@ -444,8 +454,8 @@ def test_decompose_shape_errors():
 
 
 def test_decompose_minors_match_determinants():
-    # decompose reads the signed maximal minors off one kernel vector of
-    # B^T. They must equal one determinant per deleted row, and decompose
+    # decompose reads the signed maximal minors off the left kernel of B.
+    # They must equal one determinant per deleted row, and decompose
     # must refuse B exactly when they all vanish (rank below n).
     rng = random.Random(131)
     deficient = 0
@@ -732,7 +742,8 @@ def test_rank_test_rejects_full_and_low_rank():
 def assert_cofactors_have_unit_gcd(M):
     # C = u * g * h^T with u a unit and gcd(g) = gcd(h) = 1, so the
     # submaximal minors of a presentation matrix share no factor; C comes
-    # from cofactor_matrix, independently of the report's kernel route
+    # from cofactor_matrix, which the determinant oracle pins down, not
+    # from the report's eliminations
     rep = check_presentation(M)
     assert rep.is_presentation
     C = cofactor_matrix(M)
