@@ -25,6 +25,16 @@ KNOWN_ESSENTIAL_EXCEPTIONS = {
 }
 
 
+def _integers(values, name: str) -> list:
+    """values as a list whose entries are ints, bools excluded: int() would
+    truncate 1.5, read True as 1 and parse "1"."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError("%s: %r is not an integer" % (name, v))
+    return values
+
+
 class BettiSequence:
     """Twist data of a length-3 resolution R(-s) -> +R(-b) -> +R(-a) -> R.
 
@@ -36,15 +46,15 @@ class BettiSequence:
     __slots__ = ("a", "b", "s")
 
     def __init__(self, a, b, s):
-        a = tuple(sorted(int(x) for x in a))
-        b = tuple(sorted((int(x) for x in b), reverse=True))
+        a = tuple(sorted(_integers(a, "a")))
+        b = tuple(sorted(_integers(b, "b"), reverse=True))
         if len(a) != len(b):
             raise ValueError("generator and relation counts differ")
         if len(a) < 3:
             raise ValueError("need at least 3 generators")
         self.a = a
         self.b = b
-        self.s = int(s)
+        (self.s,) = _integers([s], "s")
 
     @property
     def n(self) -> int:
@@ -320,7 +330,7 @@ def lift(seq: BettiSequence, u) -> BettiSequence:
     realization multiplies column j by the u_j-th power of a fresh
     variable.
     """
-    u = [int(x) for x in u]
+    u = _integers(u, "u")
     if len(u) != seq.n:
         raise ValueError("u must have one entry per generator")
     if any(x < 0 for x in u):

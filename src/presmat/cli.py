@@ -7,6 +7,10 @@ Every invocation prints a single report object with the fields
 2  decided negative (not a presentation, NotEssential, failed verification)
 3  undecided (Unknown classification)
 
+The input is read once: the input file (a pipe such as /dev/stdin works),
+the example's fixture, or the --homogeneous N A B triple. input_digest is
+the sha256 of exactly the bytes that ran.
+
 Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
 variable, which beats the library default of 60 seconds. Each internal
 Groebner step gets the budget, the colon ideal behind each polynomial gcd
@@ -101,14 +105,6 @@ def _decode(payload: bytes, where: str) -> dict:
     return doc
 
 
-def _load_document(path: str) -> dict:
-    return _decode(_read(path), path)
-
-
-def _digest(payload: bytes) -> str:
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
-
-
 def _ring_from(doc: dict) -> RingContext:
     spec = doc.get("ring")
     if not isinstance(spec, dict) or "vars" not in spec:
@@ -135,7 +131,8 @@ def _poly(text, ring: RingContext, where: str):
         raise CliError("%s: %s" % (where, exc)) from exc
 
 
-def _matrix_from(doc: dict, ring: RingContext) -> PolyMatrix:
+def _matrix_from(doc: dict) -> PolyMatrix:
+    ring = _ring_from(doc)
     rows = doc.get("matrix")
     if not isinstance(rows, list) or not rows:
         raise CliError('document needs "matrix": [[...], ...]')
@@ -148,7 +145,8 @@ def _matrix_from(doc: dict, ring: RingContext) -> PolyMatrix:
     return PolyMatrix(ring, entries)
 
 
-def _ideal_from(doc: dict, ring: RingContext) -> IdealBasis:
+def _ideal_from(doc: dict) -> IdealBasis:
+    ring = _ring_from(doc)
     gens = doc.get("ideal")
     if not isinstance(gens, list) or not gens:
         raise CliError('document needs "ideal": ["...", ...]')
@@ -249,13 +247,12 @@ def _resolution_payload(res) -> dict:
 
 
 # -- command handlers ------------------------------------------------------------
-# each returns (verdict, result, witness, exit_code)
+# each takes (args, doc, budget, timings), doc being the decoded input, and
+# returns (verdict, result, witness, exit_code)
 
 
-def _cmd_gamma(args, budget):
-    doc = _load_document(args.input)
-    ring = _ring_from(doc)
-    M = _matrix_from(doc, ring)
+def _cmd_gamma(args, doc, budget, timings):
+    M = _matrix_from(doc)
     vec = gamma(M, budget=budget)
     result = {
         "gamma": _texts(vec),
@@ -279,10 +276,8 @@ def _check_payload(report) -> dict:
     }
 
 
-def _cmd_check(args, budget):
-    doc = _load_document(args.input)
-    ring = _ring_from(doc)
-    M = _matrix_from(doc, ring)
+def _cmd_check(args, doc, budget, timings):
+    M = _matrix_from(doc)
     if args.transpose:
         M = M.transpose()
     report = check_presentation(M, budget=budget)
@@ -293,28 +288,24 @@ def _cmd_check(args, budget):
         EXIT_NEGATIVE
 
 
-def _cmd_resolve(args, budget):
-    doc = _load_document(args.input)
-    ring = _ring_from(doc)
+def _cmd_resolve(args, doc, budget, timings):
     if "matrix" in doc:
-        M = _matrix_from(doc, ring)
+        M = _matrix_from(doc)
         report = check_presentation(M, budget=budget)
         if not report.is_presentation:
             return "not_presentation", _check_payload(report), \
                 {"failure_reason": report.failure_reason}, EXIT_NEGATIVE
         res = build_resolution(M, budget=budget)
     elif "ideal" in doc:
-        I = _ideal_from(doc, ring)
-        res = minimal_free_resolution(I, budget=budget)
+        res = minimal_free_resolution(_ideal_from(doc), budget=budget)
     else:
+        _ring_from(doc)  # a bad ring is reported before the missing fields
         raise CliError('document needs either "matrix" or "ideal"')
     return "resolved", _resolution_payload(res), None, EXIT_OK
 
 
-def _cmd_zeta(args, budget):
-    doc = _load_document(args.input)
-    ring = _ring_from(doc)
-    M = _matrix_from(doc, ring)
+def _cmd_zeta(args, doc, budget, timings):
+    M = _matrix_from(doc)
     report = check_presentation(M, budget=budget)
     if not report.is_presentation:
         return "not_presentation", _check_payload(report), \
@@ -329,10 +320,8 @@ def _cmd_zeta(args, budget):
     return "ok", result, None, EXIT_OK
 
 
-def _cmd_decompose(args, budget):
-    doc = _load_document(args.input)
-    ring = _ring_from(doc)
-    B = _matrix_from(doc, ring)
+def _cmd_decompose(args, doc, budget, timings):
+    B = _matrix_from(doc)
     report = decompose(B, budget=budget)
     result = {
         "ideal": _texts(report.ideal.generators),
@@ -348,16 +337,15 @@ def _cmd_decompose(args, budget):
     return "decomposed", result, None, EXIT_OK
 
 
-def _cmd_betti_classify(args, budget):
+def _cmd_betti_classify(args, doc, budget, timings):
     if args.homogeneous is not None:
         n, a, b = args.homogeneous
         verdict = classify_homogeneous(n, a, b)
         status, witness = _verdict_payload(verdict)
         result = {"status": status, "n": n, "a": a, "b": b}
         return status, result, witness, _status_exit(status)
-    if args.input is None:
+    if doc is None:
         raise CliError("betti-classify needs an input file or --homogeneous N A B")
-    doc = _load_document(args.input)
     seq = _sequence_from(doc)
     verdict = classify(seq)
     status, witness = _verdict_payload(verdict)
@@ -365,8 +353,7 @@ def _cmd_betti_classify(args, budget):
     return status, result, witness, _status_exit(status)
 
 
-def _cmd_betti_reduce(args, budget):
-    doc = _load_document(args.input)
+def _cmd_betti_reduce(args, doc, budget, timings):
     seq = _sequence_from(doc)
     residue, total, verdict = classify_gaeta_reduce(seq)
     status, witness = _verdict_payload(verdict)
@@ -379,8 +366,7 @@ def _cmd_betti_reduce(args, budget):
     return status, result, witness, _status_exit(status)
 
 
-def _cmd_betti_lift(args, budget):
-    doc = _load_document(args.input)
+def _cmd_betti_lift(args, doc, budget, timings):
     seq = _sequence_from(doc)
     exponents = _integers(doc.get("exponents"), "exponents")
     lifted = lift(seq, exponents)
@@ -437,8 +423,7 @@ def _construct_product(doc, budget):
 
 
 def _construct_lift(doc, budget):
-    ring = _ring_from(doc)
-    M = _matrix_from(doc, ring)
+    M = _matrix_from(doc)
     exponents = _integers(doc.get("exponents"), "exponents")
     fresh = doc.get("fresh_vars")
     if not isinstance(fresh, list):
@@ -468,13 +453,12 @@ def _construct_star(doc, budget):
 
 
 def _construct_hilbert_burch(doc, budget):
-    ring = _ring_from(doc)
-    B = _matrix_from(doc, ring)
+    B = _matrix_from(doc)
     data = HilbertBurchData(B, budget=budget)
     I, M = hilbert_burch_ideal(data, budget=budget)
     z = zeta(M, budget=budget)
     result = {
-        "ring": list(ring.variables),
+        "ring": list(B.ring.variables),
         "ideal": _texts(I.generators),
         "matrix": _matrix_texts(M),
         "zeta": z.zeta,
@@ -483,8 +467,7 @@ def _construct_hilbert_burch(doc, budget):
 
 
 def _construct_block_extension(doc, budget):
-    ring = _ring_from(doc)
-    inner_matrix = _matrix_from(doc, ring)
+    inner_matrix = _matrix_from(doc)
     inner_seq = _sequence_from(doc, key="inner")
     outer_seq = _sequence_from(doc, key="outer")
     t = _integer(doc.get("t"), "t")
@@ -507,8 +490,7 @@ _CONSTRUCT_KINDS = {
 }
 
 
-def _cmd_construct(args, budget):
-    doc = _load_document(args.input)
+def _cmd_construct(args, doc, budget, timings):
     kind = doc.get("construct")
     handler = _CONSTRUCT_KINDS.get(kind)
     if handler is None:
@@ -532,8 +514,7 @@ def _fixture_bytes(name: str, fixtures_dir: str | None) -> bytes:
 
 
 def _scenario_matrix_check(doc, budget, timings):
-    ring = _ring_from(doc)
-    M = _matrix_from(doc, ring)
+    M = _matrix_from(doc)
     expect = doc["expect"]
     vec = gamma(M, budget=budget)
     report = check_presentation(M, budget=budget)
@@ -553,8 +534,7 @@ def _scenario_matrix_check(doc, budget, timings):
 
 
 def _scenario_ideal_resolution(doc, budget, timings):
-    ring = _ring_from(doc)
-    I = _ideal_from(doc, ring)
+    I = _ideal_from(doc)
     expect = doc["expect"]["betti"]
     res = minimal_free_resolution(I, budget=budget)
     a, b, s = res.betti()
@@ -574,8 +554,7 @@ def _scenario_sequence_classification(doc, budget, timings):
 
 
 def _scenario_height_then_resolution(doc, budget, timings):
-    ring = _ring_from(doc)
-    I = _ideal_from(doc, ring)
+    I = _ideal_from(doc)
     expect = doc["expect"]
     budgets = doc.get("budgets", {})
     required = Budget(seconds=float(budgets.get("required_seconds", 300)))
@@ -611,8 +590,7 @@ _SCENARIOS = {
 }
 
 
-def _cmd_verify_paper_example(args, budget, timings):
-    doc = _decode(_fixture_bytes(args.name, args.fixtures_dir), args.name)
+def _cmd_verify_paper_example(args, doc, budget, timings):
     runner = _SCENARIOS.get(doc.get("scenario"))
     if runner is None:
         raise CliError("fixture %r has no runnable scenario" % args.name)
@@ -688,19 +666,20 @@ _HANDLERS = {
     "betti-reduce": _cmd_betti_reduce,
     "betti-lift": _cmd_betti_lift,
     "construct": _cmd_construct,
+    "verify-paper-example": _cmd_verify_paper_example,
 }
 
 
-def _input_digest(args) -> str:
-    path = getattr(args, "input", None)
-    if path is not None:
-        return _digest(_read(path))
-    if getattr(args, "homogeneous", None) is not None:
-        n, a, b = args.homogeneous
-        return _digest(b"homogeneous:%d:%d:%d" % (n, a, b))
+def _payload(args) -> tuple[bytes, str | None]:
+    """The command's input bytes, read once, and the name a JSON error quotes
+    for them; None when they are not a JSON document."""
     if args.command == "verify-paper-example":
-        return _digest(_fixture_bytes(args.name, args.fixtures_dir))
-    return _digest(b"")
+        return _fixture_bytes(args.name, args.fixtures_dir), args.name
+    if getattr(args, "homogeneous", None) is not None:
+        return b"homogeneous:%d:%d:%d" % tuple(args.homogeneous), None
+    if args.input is None:  # betti-classify with neither input
+        return b"", None
+    return _read(args.input), args.input
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -728,14 +707,12 @@ def main(argv=None) -> int:
     verdict, result, witness, code = "error", {}, None, EXIT_ERROR
     digest = None
     try:
-        digest = _input_digest(args)
+        payload, where = _payload(args)
+        digest = "sha256:" + hashlib.sha256(payload).hexdigest()
         budget = _budget_from(args)
-        if args.command == "verify-paper-example":
-            verdict, result, witness, code = \
-                _cmd_verify_paper_example(args, budget, timings)
-        else:
-            verdict, result, witness, code = \
-                _HANDLERS[args.command](args, budget)
+        doc = None if where is None else _decode(payload, where)
+        verdict, result, witness, code = \
+            _HANDLERS[args.command](args, doc, budget, timings)
     except (CliError, ValueError) as exc:
         # ValueError covers the library's input errors, ParseError and
         # UnitIdealError included

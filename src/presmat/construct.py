@@ -11,7 +11,7 @@ formulas.
 
 from __future__ import annotations
 
-from .betti import ESSENTIAL, BettiSequence, classify_homogeneous
+from .betti import ESSENTIAL, BettiSequence, _integers, classify_homogeneous
 from .groebner import (
     Budget,
     IdealBasis,
@@ -159,7 +159,7 @@ def lift_matrix(M: PolyMatrix, u, fresh_vars,
     g_i' = g_i * prod_{j != i} y_j^{u_j} (asserted).
     """
     n = M.rows
-    u = [int(x) for x in u]
+    u = _integers(u, "u")
     fresh_vars = list(fresh_vars)
     if len(u) != n or len(fresh_vars) != n:
         raise ValueError("need one exponent and one fresh variable per row")

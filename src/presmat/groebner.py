@@ -809,13 +809,6 @@ def _fresh_name(base: str, taken) -> str:
     return f"{base}{k}"
 
 
-def _homogeneous_parts(p: Polynomial):
-    buckets: dict = {}
-    for m, c in p.terms.items():
-        buckets.setdefault(sum(m), {})[m] = c
-    return [Polynomial(p.ring, t) for _d, t in sorted(buckets.items())]
-
-
 def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> IdealBasis:
     """I cap J by eliminating t from t*I + (1-t)*J."""
     if I.ring != J.ring:
@@ -838,19 +831,13 @@ def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> Ide
         (p,) = _terms_to_polys(v, 1, basis.enc, v[0][2])
         if all(m[0] == 0 for m in p.terms):
             out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms.items()}))
+    meet = IdealBasis(out, ring=ring)
     if all(g.is_homogeneous() for g in I.generators + J.generators):
-        parts = []
-        for p in out:
-            parts.extend(_homogeneous_parts(p))
-        seen = set()
-        out = []
-        for p in sorted(parts, key=lambda q: (q.degree(), q.ring._key(q.lead_monomial()))):
-            p = p.monic()
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return minimal_generators(IdealBasis(out, ring=ring), budget=budget)
-    return IdealBasis(out, ring=ring)
+        # t*I + (1-t)*J is homogeneous for deg t = 0, so its reduced basis
+        # is too: the t-free elements come monic, distinct and sorted by
+        # (degree, lead) already
+        return minimal_generators(meet, budget=budget)
+    return meet
 
 
 def quotient(I: IdealBasis, f: Polynomial, budget: Budget | None = None) -> IdealBasis:

@@ -449,15 +449,76 @@ def test_text_format(tmp_path, capsys):
     assert "verdict: NotEssential" in out
 
 
-def test_console_entry_point():
+def _child_env():
     # the child process imports the same presmat as this one
     src = str(Path(presmat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_check_reads_a_pipe(tmp_path, capsys):
+    # a pipe can be read only once, so digest and run must share one read
+    path = write(tmp_path, "m.json", SQUARE4)
+    code, expected = invoke(capsys, "check", path)
+    with open(path, "rb") as fh:
+        payload = fh.read()
+    proc = subprocess.run(
+        [sys.executable, "-m", "presmat.cli", "check", "/dev/stdin"],
+        input=payload, capture_output=True, timeout=120, env=_child_env())
+    report = json.loads(proc.stdout)
+    assert proc.returncode == code == EXIT_OK
+    assert report["input_digest"] == expected["input_digest"]
+    assert report["verdict"] == expected["verdict"] == "presentation"
+    assert report["result"] == expected["result"]
+
+
+def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch):
+    from presmat import cli
+    reads = []
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or read(path))
+    # packaged fixtures are read through their resource path
+    resource = type(resources.files("presmat").joinpath("fixtures"))
+    read_bytes = resource.read_bytes
+    monkeypatch.setattr(resource, "read_bytes",
+                        lambda self: reads.append(self.name) or read_bytes(self))
+
+    path = write(tmp_path, "m.json", SQUARE4)
+    for argv in (["gamma", path], ["check", "--transpose", path],
+                 ["resolve", path], ["zeta", path]):
+        reads.clear()
+        invoke(capsys, *argv)
+        assert reads == [path], argv
+
+    reads.clear()
+    code, report = invoke(capsys, "verify-paper-example", "square-4")
+    assert code == EXIT_OK
+    assert reads == ["square-4.json"]
+
+    folder = tmp_path / "fixtures"
+    folder.mkdir()
+    fixture = resources.files("presmat").joinpath("fixtures/square-4.json")
+    (folder / "square-4.json").write_bytes(fixture.read_bytes())
+    reads.clear()
+    code, report = invoke(capsys, "verify-paper-example", "square-4",
+                          "--fixtures-dir", str(folder))
+    assert code == EXIT_OK
+    assert reads == [str(folder / "square-4.json")]
+
+    reads.clear()
+    code, report = invoke(capsys, "betti-classify", "--homogeneous", "5", "3", "4")
+    assert code == EXIT_OK
+    assert reads == []
+    assert report["input_digest"] == \
+        "sha256:" + hashlib.sha256(b"homogeneous:5:3:4").hexdigest()
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "presmat.cli", "betti-classify",
          "--homogeneous", "5", "3", "4"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["verdict"] == "Essential"

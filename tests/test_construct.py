@@ -228,6 +228,21 @@ def test_lift_rejects_collisions_and_bad_input():
         lift_matrix(not_pres, [1, 1, 1], ["u1", "u2", "u3"])
 
 
+def test_twist_data_takes_integers_only():
+    # int() would truncate 1.5 and 3.9, read True as 1 and parse "1"
+    with pytest.raises(ValueError, match="^a: 1.5 is not an integer"):
+        BettiSequence([1.5, True, "1"], [2, 2, 2], 3.9)
+    with pytest.raises(ValueError, match="^s: 3.9 is not an integer"):
+        BettiSequence([1, 1, 1], [2, 2, 2], 3.9)
+    with pytest.raises(ValueError, match="^u: 0.7 is not an integer"):
+        lift(BettiSequence([1, 1, 1], [2, 2, 2], 3), [0.7, True, "2"])
+    with pytest.raises(ValueError, match="^u: True is not an integer"):
+        lift(BettiSequence([1, 1, 1], [2, 2, 2], 3), [0, True, 2])
+    K = koszul(XYZ, *(parse(s, XYZ) for s in ("x", "y", "z")))
+    with pytest.raises(ValueError, match="^u: 0.9 is not an integer"):
+        lift_matrix(K, [0.9, True, "1"], ["u1", "u2", "u3"])
+
+
 # -- cyclic monomial families --------------------------------------------------------
 
 
