@@ -21,6 +21,7 @@ that remain of it. The budget must be positive and finite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -276,16 +277,19 @@ def _check_payload(report) -> dict:
     }
 
 
+def _not_presentation(report):
+    return "not_presentation", _check_payload(report), \
+        {"failure_reason": report.failure_reason}, EXIT_NEGATIVE
+
+
 def _cmd_check(args, doc, budget, timings):
     M = _matrix_from(doc)
     if args.transpose:
         M = M.transpose()
     report = check_presentation(M, budget=budget)
-    result = _check_payload(report)
-    if report.is_presentation:
-        return "presentation", result, None, EXIT_OK
-    return "not_presentation", result, {"failure_reason": report.failure_reason}, \
-        EXIT_NEGATIVE
+    if not report.is_presentation:
+        return _not_presentation(report)
+    return "presentation", _check_payload(report), None, EXIT_OK
 
 
 def _cmd_resolve(args, doc, budget, timings):
@@ -293,9 +297,8 @@ def _cmd_resolve(args, doc, budget, timings):
         M = _matrix_from(doc)
         report = check_presentation(M, budget=budget)
         if not report.is_presentation:
-            return "not_presentation", _check_payload(report), \
-                {"failure_reason": report.failure_reason}, EXIT_NEGATIVE
-        res = build_resolution(M, budget=budget)
+            return _not_presentation(report)
+        res = build_resolution(M, budget=budget)  # reads the report kept on M
     elif "ideal" in doc:
         res = minimal_free_resolution(_ideal_from(doc), budget=budget)
     else:
@@ -308,8 +311,7 @@ def _cmd_zeta(args, doc, budget, timings):
     M = _matrix_from(doc)
     report = check_presentation(M, budget=budget)
     if not report.is_presentation:
-        return "not_presentation", _check_payload(report), \
-            {"failure_reason": report.failure_reason}, EXIT_NEGATIVE
+        return _not_presentation(report)
     z = zeta(M, budget=budget)
     result = {
         "zeta": z.zeta,
@@ -338,14 +340,14 @@ def _cmd_decompose(args, doc, budget, timings):
 
 
 def _cmd_betti_classify(args, doc, budget, timings):
+    if (args.input is None) == (args.homogeneous is None):
+        raise CliError("betti-classify takes one input: a file or --homogeneous N A B")
     if args.homogeneous is not None:
         n, a, b = args.homogeneous
         verdict = classify_homogeneous(n, a, b)
         status, witness = _verdict_payload(verdict)
         result = {"status": status, "n": n, "a": a, "b": b}
         return status, result, witness, _status_exit(status)
-    if doc is None:
-        raise CliError("betti-classify needs an input file or --homogeneous N A B")
     seq = _sequence_from(doc)
     verdict = classify(seq)
     status, witness = _verdict_payload(verdict)
@@ -432,7 +434,7 @@ def _construct_lift(doc, budget):
     result = {
         "ring": list(lifted.ring.variables),
         "matrix": _matrix_texts(lifted),
-        "gamma": _texts(gamma(lifted, budget=budget)),
+        "gamma": _texts(check_presentation(lifted, budget=budget).gamma),
     }
     return "constructed", result, None, EXIT_OK
 
@@ -686,7 +688,7 @@ def _emit(report: dict, fmt: str) -> None:
     # strict JSON (RFC 8259): no NaN or Infinity
     dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
     if fmt == "json":
-        print(dumps(report, indent=2))
+        print(dumps(report, indent=2), flush=True)
         return
     print("command: %s" % report["command"])
     print("verdict: %s" % report["verdict"])
@@ -694,7 +696,7 @@ def _emit(report: dict, fmt: str) -> None:
         print("  %s: %s" % (key, dumps(report["result"][key])))
     if report["witness"]:
         print("witness: %s" % dumps(report["witness"]))
-    print("seconds: %s" % report["timings"]["total_seconds"])
+    print("seconds: %s" % report["timings"]["total_seconds"], flush=True)
 
 
 def main(argv=None) -> int:
@@ -728,7 +730,13 @@ def main(argv=None) -> int:
         "witness": witness,
         "timings": timings,
     }
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+    except BrokenPipeError:  # the reader has gone, as after `| head -1`: what
+        # is left goes to devnull, or the flush at exit fails once more; a
+        # stdout without a file descriptor is left as it is
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
     return code
 
 

@@ -20,10 +20,10 @@ from .groebner import (
 )
 from .matrices import PolyMatrix, rank
 from .presentation import (
+    _minimal_presentation,
     build_resolution,
     check_presentation,
     decompose,
-    gamma,
     zeta,
 )
 from .ring import Polynomial, RingContext, embed
@@ -165,9 +165,7 @@ def lift_matrix(M: PolyMatrix, u, fresh_vars,
         raise ValueError("need one exponent and one fresh variable per row")
     if any(x < 0 for x in u):
         raise ValueError("exponents must be nonnegative")
-    before = check_presentation(M, budget=budget)
-    if not before.is_presentation or not before.is_minimal:
-        raise ValueError("lift needs a minimal presentation matrix")
+    before = _minimal_presentation(M, budget, "lift needs a minimal presentation matrix")
     ring = M.ring.extend(fresh_vars)  # raises on name collision
     ys = [ring.variable(v) for v in fresh_vars]
     entries = [[embed(M.entry(i, j), ring) * ys[i] ** u[i]
@@ -189,28 +187,27 @@ class BidiagonalMatrix:
     """Square matrix with nonzero entries only on the diagonal and the
     cyclically wrapped superdiagonal (entry (n-1, 0) closes the cycle)."""
 
-    __slots__ = ("ring", "diag", "superdiag")
+    __slots__ = ("ring", "diag", "superdiag", "_matrix")
 
     def __init__(self, ring: RingContext, diag, superdiag):
         diag = tuple(diag)
         superdiag = tuple(superdiag)
-        if len(diag) != len(superdiag) or len(diag) < 3:
+        n = len(diag)
+        if len(superdiag) != n or n < 3:
             raise ValueError("needs matching diagonals of length >= 3")
         self.ring = ring
         self.diag = diag
         self.superdiag = superdiag
+        self._matrix = PolyMatrix(ring, [  # one object keeps one report
+            [diag[i] if j == i else superdiag[i] if j == (i + 1) % n else ring.zero()
+             for j in range(n)] for i in range(n)])
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
     def matrix(self) -> PolyMatrix:
-        n = self.size
-        entries = [[self.ring.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            entries[i][i] = self.diag[i]
-            entries[i][(i + 1) % n] = self.superdiag[i]
-        return PolyMatrix(self.ring, entries)
+        return self._matrix
 
     def entry_degree(self) -> int:
         degs = {p.degree() for p in self.diag + self.superdiag}
@@ -262,22 +259,18 @@ def star_product(M: BidiagonalMatrix, N: BidiagonalMatrix,
         raise ValueError("variable sets overlap: %s" % sorted(shared))
     M.entry_degree()
     N.entry_degree()
-    left = check_presentation(M.matrix(), budget=budget)
-    right = check_presentation(N.matrix(), budget=budget)
-    if not (left.is_presentation and left.is_minimal):
-        raise ValueError("left factor is not a minimal presentation matrix")
-    if not (right.is_presentation and right.is_minimal):
-        raise ValueError("right factor is not a minimal presentation matrix")
+    left = _minimal_presentation(
+        M.matrix(), budget, "left factor is not a minimal presentation matrix")
+    right = _minimal_presentation(
+        N.matrix(), budget, "right factor is not a minimal presentation matrix")
     ring = M.ring.extend(N.ring.variables)
     diag = [embed(M.diag[i], ring) * embed(N.diag[i], ring) for i in range(n)]
     superdiag = [-(embed(M.superdiag[i], ring) * embed(N.superdiag[i], ring))
                  for i in range(n)]
     out = BidiagonalMatrix(ring, diag, superdiag)
-    h = gamma(out.matrix().transpose())  # raises unless the rank is n-1
-    for i in range(n):
-        want = (embed(left.gamma_transpose[i], ring)
-                * embed(right.gamma_transpose[i], ring))
-        assert h[i] == want
+    h = check_presentation(out.matrix(), budget=budget).gamma_transpose
+    assert h == [embed(left.gamma_transpose[i], ring)
+                 * embed(right.gamma_transpose[i], ring) for i in range(n)]
     return out
 
 
@@ -322,8 +315,6 @@ def homogeneous_matrix(n: int, a: int, b: int,
     only ever lifted again, so the disjointness requirement always holds.
     """
     steps = homogeneous_plan(n, a, b)
-    level = 0
-
     def fresh(letter_index):
         letter = _LEVEL_LETTERS[letter_index % len(_LEVEL_LETTERS)]
         suffix = letter_index // len(_LEVEL_LETTERS)
@@ -331,19 +322,15 @@ def homogeneous_matrix(n: int, a: int, b: int,
         return ["%s%d" % (stem, i + 1) for i in range(n)]
 
     current = None
-    for step in steps:
+    for level, step in enumerate(steps):  # each step takes fresh variables
         if step[0] == "base":
             current = base_bidiagonal(n, step[1], fresh(level))
-            level += 1
         elif step[0] == "star":
             extra = base_bidiagonal(n, step[1], fresh(level))
-            level += 1
             current = star_product(extra, current, budget=budget)
         else:
-            mat = current.matrix() if isinstance(current, BidiagonalMatrix) \
-                else current
+            mat = current.matrix() if isinstance(current, BidiagonalMatrix) else current
             current = lift_matrix(mat, [1] * n, fresh(level), budget=budget)
-            level += 1
     return current.matrix() if isinstance(current, BidiagonalMatrix) else current
 
 
@@ -376,9 +363,8 @@ def nogaeta_extend(inner, outer_shape: BettiSequence, t: int,
     if reduced != inner_seq:
         raise ValueError("inner sequence %r is not the reduction %r"
                          % (inner_seq, reduced))
-    pre = check_presentation(inner_matrix, budget=budget)
-    if not pre.is_presentation or not pre.is_minimal:
-        raise ValueError("inner matrix is not a minimal presentation matrix")
+    pre = _minimal_presentation(
+        inner_matrix, budget, "inner matrix is not a minimal presentation matrix")
     y_names = {i: "y%d" % i for i in range(t - 1, n)}
     z_names = {i: "z%d" % i for i in range(t, n + 1)}
     ring = inner_matrix.ring.extend(

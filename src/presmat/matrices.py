@@ -23,10 +23,11 @@ class PolyMatrix:
 
     When row_shifts/col_shifts are present, entry (i,j) is expected to be
     zero or homogeneous of degree col_shifts[j] - row_shifts[i]; that is
-    checked by check_graded, not by the constructor.
+    checked by check_graded, not by the constructor. _cache keeps what has
+    been computed from this object, such as its presentation report.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries", "row_shifts", "col_shifts")
+    __slots__ = ("ring", "rows", "cols", "entries", "row_shifts", "col_shifts", "_cache")
 
     def __init__(self, ring: RingContext, entries, row_shifts=None, col_shifts=None):
         entries = tuple(tuple(row) for row in entries)
@@ -53,6 +54,7 @@ class PolyMatrix:
                 raise ValueError("col_shifts length mismatch")
         self.row_shifts = row_shifts
         self.col_shifts = col_shifts
+        self._cache = {}
 
     @classmethod
     def from_text(cls, ring: RingContext, rows, **kw) -> "PolyMatrix":

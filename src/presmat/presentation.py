@@ -167,8 +167,16 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     one on M gives the rank, the pivot columns and the column of C that
     they leave out, from which u is read off. It requires u to be a
     nonzero constant, and the ideal of the h components to have height at
-    least 3. Failures are reported, never raised.
+    least 3. Failures are reported, never raised. The report is kept on M:
+    a later call on the same object returns it, whatever that call's budget.
+    A run that exceeds its budget keeps nothing.
     """
+    if "presentation" not in M._cache:
+        M._cache["presentation"] = _presentation_report(M, budget)
+    return M._cache["presentation"]
+
+
+def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationReport:
     n = M.rows
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
@@ -196,6 +204,14 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     if hJ < 3:
         return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT)
     return PresentationReport(True, g, h, unit, hJ, is_minimal, None)
+
+
+def _minimal_presentation(M: PolyMatrix, budget: Budget | None, message: str):
+    """The report of M; ValueError(message) unless M is a minimal presentation."""
+    report = check_presentation(M, budget=budget)
+    if not (report.is_presentation and report.is_minimal):
+        raise ValueError(message)
+    return report
 
 
 def column_module(M: PolyMatrix) -> ModuleBasis:
@@ -378,9 +394,7 @@ def zeta(M: PolyMatrix, budget: Budget | None = None) -> ZetaReport:
     cofactors; the mirrored column operations keep the chain a complex.
     The surviving components are moved to the front.
     """
-    report = check_presentation(M, budget=budget)
-    if not report.is_presentation or not report.is_minimal:
-        raise ValueError("zeta needs a minimal presentation matrix")
+    report = _minimal_presentation(M, budget, "zeta needs a minimal presentation matrix")
     ring = M.ring
     n = M.rows
     h = list(report.gamma_transpose.components)

@@ -1,6 +1,7 @@
 """CLI tests: JSON envelopes, exit statuses, fixtures, budgets."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -324,6 +325,13 @@ def test_input_errors_exit_one(tmp_path, capsys):
         assert code == EXIT_ERROR
         assert report["result"]["error"].startswith(field + " must be an integer")
 
+    # a sequence file and --homogeneous are two inputs; neither may be ignored
+    path = write(tmp_path, "s.json", {"sequence": koszul})
+    code, report = invoke(capsys, "betti-classify", path, "--homogeneous", "5", "3", "4")
+    assert code == EXIT_ERROR
+    assert report["verdict"] == "error"
+    assert "one input" in report["result"]["error"]
+
 
 # a non-graded 3x3 presentation matrix whose row ideal is the unit ideal,
 # although no entry of its row annihilator is a unit
@@ -512,6 +520,40 @@ def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch):
     assert reads == []
     assert report["input_digest"] == \
         "sha256:" + hashlib.sha256(b"homogeneous:5:3:4").hexdigest()
+
+
+class _ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_keeps_the_report_exit_code(tmp_path, monkeypatch, fmt):
+    path = write(tmp_path, "m.json", SQUARE4)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["--format", fmt, "check", path]) == EXIT_OK
+    assert main(["--format", fmt, "check", "--transpose", path]) == EXIT_NEGATIVE
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_ends_without_a_traceback(tmp_path, unbuffered):
+    # `presmat check doc.json | head -1`: the reader leaves before the report
+    # is written. Unbuffered, the write fails; buffered, the flush at
+    # interpreter exit would
+    path = write(tmp_path, "m.json", SQUARE4)
+    env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "presmat.cli", "check", "--transpose", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # does nothing once the child has exited
+    assert proc.returncode == EXIT_NEGATIVE
+    assert err == b""
 
 
 def test_console_entry_point():

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import oracle_det, random_form, random_poly
 from presmat import (
+    Budget,
+    BudgetExceeded,
     GradedResolution,
     IdealBasis,
     PolyMatrix,
@@ -19,6 +21,7 @@ from presmat import (
     gamma,
     gcd,
     height,
+    homogeneous_matrix,
     ideal_equal,
     minimal_free_resolution,
     parse,
@@ -27,6 +30,7 @@ from presmat import (
     verify_exactness,
     zeta,
 )
+from presmat import presentation
 from presmat.presentation import FAIL_HEIGHT, FAIL_RANK, FAIL_UNIT
 
 XYZ = RingContext(("x", "y", "z"))
@@ -788,3 +792,93 @@ def test_even_size_row_ideal_has_height_two():
         ["q", "0", "0", "0"],
     ])
     assert height(IdealBasis(list(gamma(M2)))) == 2
+
+
+# -- the report kept on the matrix -------------------------------------------------
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The matrices each left_kernel call of the presentation layer eliminates."""
+    seen = []
+    left_kernel = presentation.left_kernel
+    monkeypatch.setattr(presentation, "left_kernel",
+                        lambda A: seen.append(A) or left_kernel(A))
+    return seen
+
+
+def test_second_check_of_one_matrix_is_a_lookup(eliminated):
+    M = square4()
+    first = check_presentation(M)
+    assert len(eliminated) == 2  # M and its transpose
+    assert check_presentation(M) is first
+    assert check_presentation(M, budget=Budget(max_monomials=0)) is first
+    assert len(eliminated) == 2
+    assert sum(A is M for A in eliminated) == 1
+
+
+def test_exceeded_budget_keeps_no_report(eliminated):
+    # the gcd of the first annihilator's components runs a Groebner basis
+    M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
+    with pytest.raises(BudgetExceeded):
+        check_presentation(M, budget=Budget(max_monomials=0))
+    eliminated.clear()
+    report = check_presentation(M)
+    assert report.is_presentation and report.is_minimal
+    assert len(eliminated) == 2
+
+
+def test_equal_matrix_and_transpose_run_their_own_checks(eliminated):
+    M = square4()
+    report = check_presentation(M)
+    twin = PolyMatrix(M.ring, M.entries)
+    assert twin == M
+    again = check_presentation(twin)
+    assert again is not report
+    assert len(eliminated) == 4
+    assert (again.is_presentation, texts(again.gamma), texts(again.gamma_transpose)) \
+        == (report.is_presentation, texts(report.gamma), texts(report.gamma_transpose))
+    transposed = check_presentation(M.transpose())
+    assert len(eliminated) == 6
+    assert transposed.failure_reason == FAIL_HEIGHT
+
+
+@pytest.mark.parametrize("case, eliminations", [
+    ((3, 3, 5), 4),  # base, lift: the lift's input and output
+    ((3, 2, 4), 6),  # base, star: both factors and the product
+])
+def test_construction_and_resolution_check_each_matrix_once(eliminated, case,
+                                                            eliminations):
+    res = build_resolution(homogeneous_matrix(*case))
+    assert len(eliminated) == eliminations
+    assert len({id(A) for A in eliminated}) == eliminations
+    assert res.betti() == ((case[1],) * case[0], (case[2],) * case[0],
+                           case[0] * (case[2] - case[1]))
+
+
+# -- metamorphic: row and column permutations ----------------------------------------
+
+
+def _up_to_constant(got, want):
+    """True when got = c * want componentwise for one nonzero constant c."""
+    k = next(k for k, p in enumerate(want) if not p.is_zero())
+    c = got[k].lead_coeff() / want[k].lead_coeff()
+    return c != 0 and all(p == q * c for p, q in zip(got, want))
+
+
+def test_permuted_sweep_matrices_keep_their_reports(sweep_matrices):
+    rng = random.Random(23)
+    for M in sweep_matrices:
+        n = M.rows
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        P = PolyMatrix(M.ring, [[M.entry(i, j) for j in cols] for i in rows])
+        want, got = check_presentation(M), check_presentation(P)
+        assert (got.is_presentation, got.is_minimal, got.failure_reason,
+                got.height_J) == (want.is_presentation, want.is_minimal,
+                                  want.failure_reason, want.height_J)
+        assert got.cofactor_unit in (want.cofactor_unit, -want.cofactor_unit)
+        assert _up_to_constant(got.gamma, [want.gamma[i] for i in rows])
+        assert _up_to_constant(got.gamma_transpose,
+                               [want.gamma_transpose[j] for j in cols])
+        assert [sorted(s) for s in build_resolution(P).shifts] == \
+            [sorted(s) for s in build_resolution(M).shifts]
