@@ -518,8 +518,8 @@ def _fixture_bytes(name: str, fixtures_dir: str | None) -> bytes:
 def _scenario_matrix_check(doc, budget, timings):
     M = _matrix_from(doc)
     expect = doc["expect"]
-    vec = gamma(M, budget=budget)
     report = check_presentation(M, budget=budget)
+    vec = report.gamma
     transposed = check_presentation(M.transpose(), budget=budget)
     checks = {
         "gamma": _texts(vec) == expect["gamma"],

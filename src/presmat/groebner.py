@@ -674,12 +674,17 @@ def _basis_clock(F, budget: Budget | None) -> _Clock:
 
 # -- ideal operations ---------------------------------------------------------
 
-def groebner_basis(I: IdealBasis, order=None, budget: Budget | None = None) -> IdealBasis:
-    """Reduced Groebner basis of I; deterministic for a fixed order."""
-    ring = _ring_with_order(I.ring, order)
-    basis = _gb(I, _basis_clock(I, budget), order=order)
-    polys = [_terms_to_polys(v, 1, basis.enc, v[0][2])[0] for v in basis.elems]
-    out = IdealBasis(polys, ring=ring)
+def groebner_basis(F, order=None, budget: Budget | None = None):
+    """Reduced Groebner basis of an IdealBasis or a ModuleBasis, of the same
+    kind, each element monic; deterministic for a fixed order."""
+    ring = _ring_with_order(F.ring, order)
+    basis = _gb(F, _basis_clock(F, budget), order=order)
+    cols = [_terms_to_polys(v, F.ambient_rank, basis.enc, v[0][2])
+            for v in basis.elems]
+    if isinstance(F, IdealBasis):
+        out = IdealBasis([p for (p,) in cols], ring=ring)
+    else:
+        out = ModuleBasis(F.ambient_rank, cols, ring=ring, grading=F.grading)
     out._cache[("gb", ring.order, False)] = basis
     return out
 

@@ -24,7 +24,8 @@ class PolyMatrix:
     When row_shifts/col_shifts are present, entry (i,j) is expected to be
     zero or homogeneous of degree col_shifts[j] - row_shifts[i]; that is
     checked by check_graded, not by the constructor. _cache keeps what has
-    been computed from this object, such as its presentation report.
+    been computed from this object, such as its presentation and zeta
+    reports.
     """
 
     __slots__ = ("ring", "rows", "cols", "entries", "row_shifts", "col_shifts", "_cache")

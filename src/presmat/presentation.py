@@ -17,6 +17,7 @@ from .groebner import (
     IdealBasis,
     ModuleBasis,
     UnitIdealError,
+    groebner_basis,
     height,
     ideal_equal,
     intersect,
@@ -38,6 +39,8 @@ from .ring import exact_div, gcd
 FAIL_RANK = "rank_not_n_minus_1"
 FAIL_UNIT = "cofactor_unit_not_constant"
 FAIL_HEIGHT = "height_of_row_ideal_below_3"
+
+_NORMALIZATION = "gcd removed; first nonzero component monic"
 
 
 class GammaVector:
@@ -77,13 +80,12 @@ class GammaVector:
 def _annihilator(M: PolyMatrix, chosen, raw, budget: Budget | None) -> GammaVector:
     """Normalized row annihilator of M from its left kernel vector raw.
 
-    raw comes from left_kernel(M), whose pivot columns are chosen: with q
-    the column left out, raw_i = (-1)^q * C_iq for the cofactor matrix C of
-    a square M. The normalized vector has the gcd of raw divided out and
-    its first nonzero component monic; it must annihilate all of M.
+    raw comes from left_kernel(M), whose pivot columns are chosen. The
+    normalized vector has the gcd of raw divided out and its first nonzero
+    component monic; it must annihilate all of M. Only gamma takes this
+    route; check_presentation reads its annihilators from syzygies.
     """
-    ring = M.ring
-    common = ring.zero()
+    common = M.ring.zero()
     for p in raw:
         common = gcd(common, p, budget=budget)
     components = [exact_div(p, common) if not p.is_zero() else p for p in raw]
@@ -91,14 +93,32 @@ def _annihilator(M: PolyMatrix, chosen, raw, budget: Budget | None) -> GammaVect
     scale = lead.lead_coeff()
     if scale != 1:
         components = [p * (1 / scale) for p in components]
+    _assert_annihilates(components, M)
+    return GammaVector(components, M, chosen, _NORMALIZATION)
+
+
+def _assert_annihilates(g, M: PolyMatrix):
     for j in range(M.cols):
-        total = ring.zero()
+        total = M.ring.zero()
         for i in range(M.rows):
-            total = total + components[i] * M.entry(i, j)
+            total = total + g[i] * M.entry(i, j)
         if not total.is_zero():
             raise AssertionError("annihilator check failed; rank computation is off")
-    return GammaVector(components, M, chosen,
-                       "gcd removed; first nonzero component monic")
+
+
+def _syzygy_generator(F: ModuleBasis, budget: Budget | None):
+    """The generator of the syzygy module of the columns of F when that
+    module is cyclic and nonzero, else None.
+
+    A cyclic module R*v has the reduced Groebner basis {v}, since every
+    element f*v has lead term lt(f)*lt(v); so a module with a one-element
+    reduced basis is cyclic and one with more is not. syzygies returns its
+    vectors monic, with the lead in the first nonzero component.
+    """
+    S = syzygies(F, budget=budget)
+    if len(S.generators) > 1:
+        S = groebner_basis(S, budget=budget)
+    return S.generators[0] if len(S.generators) == 1 else None
 
 
 def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
@@ -160,16 +180,19 @@ def _height_or_inf(gens, ring, budget: Budget | None):
 def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> PresentationReport:
     """Decide the presentation property for a square matrix.
 
-    M must have rank n-1; then g = gamma(M) and h = gamma(M^T). At that
-    rank the cofactor matrix C has rank 1 with columns in the span of g and
-    rows in the span of h, and as both are primitive, C = u * g * h^T for a
-    polynomial u. Each annihilator costs one elimination of [A | I]: the
-    one on M gives the rank, the pivot columns and the column of C that
-    they leave out, from which u is read off. It requires u to be a
-    nonzero constant, and the ideal of the h components to have height at
-    least 3. Failures are reported, never raised. The report is kept on M:
-    a later call on the same object returns it, whatever that call's budget.
-    A run that exceeds its budget keeps nothing.
+    M must have rank n-1. The row annihilator of M is then a reflexive
+    module of rank 1 over a factorial ring, so it is free, generated by the
+    primitive g = gamma(M); likewise h = gamma(M^T) for the columns. Both
+    are read from the Groebner engine: the syzygies of the rows of M are
+    zero at full rank, the cyclic module R*g at rank n-1, and of rank 2 or
+    more below, and those of the columns give h. At rank n-1 the cofactor
+    matrix C has rank 1 with columns in the span of g and rows in the span
+    of h, and as both are primitive, C = u * g * h^T for a polynomial u,
+    read off one (n-1)-minor. It requires u to be a nonzero constant, and
+    the ideal of the h components to have height at least 3. Failures are
+    reported, never raised. The report is kept on M: a later call on the
+    same object returns it, whatever that call's budget. A run that exceeds
+    its budget keeps nothing.
     """
     if "presentation" not in M._cache:
         M._cache["presentation"] = _presentation_report(M, budget)
@@ -181,21 +204,30 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
     is_minimal = all(p.constant_term() == 0 for row in M.entries for p in row)
-    chosen, raw = left_kernel(M)
-    if raw is None:
+    T = M.transpose()
+    g = _syzygy_generator(column_module(T), budget)
+    if g is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    g = _annihilator(M, chosen, raw, budget)
-    h = gamma(M.transpose(), budget=budget)
+    h = _syzygy_generator(column_module(M), budget)
+    _assert_annihilates(g, M)
+    _assert_annihilates(h, T)
+    # the greedy pivot columns of M leave out the last column that the
+    # relation h among the columns involves, and those of M^T the last row
+    # that g involves
+    q = max(j for j in range(n) if not h[j].is_zero())
+    last = max(i for i in range(n) if not g[i].is_zero())
+    g = GammaVector(g, M, [j for j in range(n) if j != q], _NORMALIZATION)
+    h = GammaVector(h, T, [i for i in range(n) if i != last], _NORMALIZATION)
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
-    # C_iq = (-1)^q raw_i = u * g_i * h_q for the column q gamma leaves out;
-    # h_q is nonzero because that column of C is raw up to sign
-    q = next(j for j in range(n) if j not in chosen)
+    # the cofactor C_iq = (-1)^(i+q) * minor without row i and column q is
+    # u * g_i * h_q, and g_i * h_q is nonzero
     i = next(i for i in range(n) if not g[i].is_zero())
+    cofactor = minor(M, [k for k in range(n) if k != i], g.column_subset)
     try:
-        unit = exact_div(raw[i] if q % 2 == 0 else -raw[i], g[i] * h[q])
+        unit = exact_div(cofactor if (i + q) % 2 == 0 else -cofactor, g[i] * h[q])
     except ValueError:
         raise AssertionError("cofactor matrix is not u * g * h^T") from None
     if not unit.is_unit():
@@ -392,8 +424,17 @@ def zeta(M: PolyMatrix, budget: Budget | None = None) -> ZetaReport:
     Performs the basis change that zeroes the dependent components of the
     transposed annihilator, in descending index order, using membership
     cofactors; the mirrored column operations keep the chain a complex.
-    The surviving components are moved to the front.
+    The surviving components are moved to the front. The report is kept
+    on M, as check_presentation's is: a later call on the same object
+    returns it, whatever that call's budget, and a run that raises keeps
+    nothing.
     """
+    if "zeta" not in M._cache:
+        M._cache["zeta"] = _zeta_report(M, budget)
+    return M._cache["zeta"]
+
+
+def _zeta_report(M: PolyMatrix, budget: Budget | None) -> ZetaReport:
     report = _minimal_presentation(M, budget, "zeta needs a minimal presentation matrix")
     ring = M.ring
     n = M.rows

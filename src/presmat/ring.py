@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -24,7 +26,7 @@ class ParseError(ValueError):
 
 
 def _grevlex_key(expts):
-    return (sum(expts), tuple(-e for e in reversed(expts)))
+    return (sum(expts), *[-e for e in reversed(expts)])
 
 
 def _lex_key(expts):
@@ -67,7 +69,7 @@ class RingContext:
                 raise ValueError(f"elimination block size must be an integer: {k!r}")
             if not 0 < k < len(variables):
                 raise ValueError("elimination block size out of range")
-            self._key = lambda e: (e[:k], _grevlex_key(e[k:]))
+            self._key = lambda e: (*e[:k], *_grevlex_key(e[k:]))
         else:
             raise ValueError(f"unknown monomial order: {order!r}")
 
@@ -76,7 +78,9 @@ class RingContext:
         return len(self.variables)
 
     def key(self, expts):
-        """Sort key of a monomial; bigger key means bigger monomial."""
+        """Sort key of a monomial; bigger key means bigger monomial. Keys
+        are flat tuples of integers, so negating every entry reverses the
+        order, which exact_div's heap relies on."""
         return self._key(expts)
 
     def index(self, name: str) -> int:
@@ -477,7 +481,14 @@ def parse(text: str, ring: RingContext) -> Polynomial:
 # -- division and gcd -------------------------------------------------------
 
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when the division is exact; raises otherwise."""
+    """Quotient p/q when the division is exact; raises ValueError otherwise.
+
+    Division by a monomial divides term by term. Otherwise the remainder's
+    monomials wait in a heap ordered by their keys, a key computed as its
+    monomial enters the remainder, and every step cancels the largest one
+    against the lead of q; the terms it brings in from the tail of q all
+    sort below it (a heap division after Monagan and Pearce, JSC 2011).
+    """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
@@ -486,25 +497,39 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ValueError("mismatched rings")
     ring = p.ring
     qm, qc = q.lead_monomial(), q.lead_coeff()
-    rem = dict(p.terms)
     quot: dict = {}
+    if len(q.terms) == 1:
+        for m, c in p.terms.items():
+            f = tuple(a - b for a, b in zip(m, qm))
+            if any(e < 0 for e in f):
+                raise ValueError("division is not exact")
+            quot[f] = c / qc
+        return Polynomial(ring, quot)
     key = ring._key
-    while rem:
-        m = max(rem, key=key)
-        c = rem[m]
+    tail = [(m, c) for m, c in q.terms.items() if m != qm]
+    rem = dict(p.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in rem]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = rem.pop(m, 0)
+        if not c:
+            continue  # cancelled, or a second heap entry of this monomial
         f = tuple(a - b for a, b in zip(m, qm))
         if any(e < 0 for e in f):
             raise ValueError("division is not exact")
         fc = c / qc
-        quot[f] = quot.get(f, 0) + fc
-        # rem -= fc * x^f * q
-        for m2, c2 in q.terms.items():
+        quot[f] = fc
+        # rem -= fc * x^f * (q - lead term of q)
+        for m2, c2 in tail:
             mm = tuple(a + b for a, b in zip(f, m2))
             s = rem.get(mm, 0) - fc * c2
+            if mm not in rem:
+                heappush(heap, (tuple(map(neg, key(mm))), mm))
             if s:
                 rem[mm] = s
             else:
-                rem.pop(mm, None)
+                del rem[mm]
     return Polynomial(ring, quot)
 
 

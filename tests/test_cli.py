@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import presmat
+from presmat import cli, presentation
 from presmat.cli import (
     BUDGET_ENV,
     EXIT_ERROR,
@@ -232,6 +233,34 @@ def test_construct_hilbert_burch(tmp_path, capsys):
     assert report["verdict"] == "constructed"
     assert len(report["result"]["ideal"]) == 4
     assert report["result"]["zeta"] == 1
+
+
+@pytest.mark.parametrize("entries, zeta", [
+    ([["u", "v", "0", "w"], ["0", "w", "u", "v"], ["v", "0", "w", "u"],
+      ["w", "u", "v", "x"], ["x", "y", "z", "0"]], 1),
+    ([["u", "0", "0"], ["0", "v", "0"], ["0", "0", "w"], ["x", "y", "z"]], 0),
+])
+def test_construct_hilbert_burch_computes_zeta_once(tmp_path, capsys, monkeypatch,
+                                                    entries, zeta):
+    # hilbert_burch_ideal asserts the zero count of its matrix's zeta, and
+    # the command reports the zeta of the same matrix
+    runs = []
+    report_of = presentation._zeta_report
+    monkeypatch.setattr(presentation, "_zeta_report",
+                        lambda M, budget: runs.append(M) or report_of(M, budget))
+    path = write(tmp_path, "c.json", {
+        "construct": "hilbert-burch",
+        "ring": {"vars": ["x", "y", "z", "u", "v", "w"]}, "matrix": entries})
+    code, report = invoke(capsys, "construct", path)
+    assert (code, report["result"]["zeta"]) == (EXIT_OK, zeta)
+    assert len(runs) == 1
+
+
+def test_verify_square4_reads_gamma_from_its_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gamma", None)  # the standalone route must not run
+    code, report = invoke(capsys, "verify-paper-example", "square-4")
+    assert code == EXIT_OK
+    assert report["result"]["gamma"] == ["z*t", "x*t", "x*y", "y*z"]
 
 
 def test_verify_fast_examples(capsys):

@@ -206,6 +206,52 @@ def test_exact_div():
         exact_div(x + y, x - y)
 
 
+def _scan_div(p, q):
+    """Reference quotient: scan the whole remainder for its largest term at
+    every step, and raise once that term is not divisible by lead(q)."""
+    ring = p.ring
+    qm, qc = q.lead_monomial(), q.lead_coeff()
+    rem, quot = dict(p.terms), {}
+    while rem:
+        m = max(rem, key=ring.key)
+        f = tuple(a - b for a, b in zip(m, qm))
+        if min(f) < 0:
+            raise ValueError("division is not exact")
+        fc = rem[m] / qc
+        quot[f] = fc
+        for m2, c2 in q.terms.items():
+            mm = tuple(a + b for a, b in zip(f, m2))
+            s = rem.get(mm, 0) - fc * c2
+            if s:
+                rem[mm] = s
+            else:
+                del rem[mm]
+    return Polynomial(ring, quot)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", ("elim", 2)])
+def test_exact_div_matches_the_remainder_scan(order):
+    ring = RingContext(["t", "x", "y", "z"], order=order)
+    rng = random.Random(31)
+    inexact = 0
+    for case in range(150):
+        q = random_poly(rng, ring, max_terms=1 if case % 5 == 0 else 4,
+                        allow_zero=False)
+        p = random_poly(rng, ring, max_terms=5) * q
+        if case % 2:  # one more term, which seldom keeps q a divisor
+            p = p + random_poly(rng, ring, max_terms=1)
+        try:
+            want = _scan_div(p, q)
+        except ValueError:
+            inexact += 1
+            with pytest.raises(ValueError, match="not exact"):
+                exact_div(p, q)
+            continue
+        assert exact_div(p, q) == want
+        assert want * q == p
+    assert inexact >= 20
+
+
 def test_embed():
     small = RingContext(["x", "z"])
     big = RingContext(["x", "y", "z", "t"])
