@@ -13,9 +13,10 @@ the sha256 of exactly the bytes that ran.
 
 Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
 variable, which beats the library default of 60 seconds. Each internal
-Groebner step gets the budget, the colon ideal behind each polynomial gcd
-included, except in minimal free resolutions, whose steps get the seconds
-that remain of it. The budget must be positive and finite.
+Groebner step gets the budget, the syzygy runs of gamma and the colon
+ideal behind each polynomial gcd included, except in minimal free
+resolutions, whose steps get the seconds that remain of it. The budget
+must be positive and finite.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ checked as a height (the Koszul examples in the tests pin this down).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 
 from .groebner import (
     Budget,
@@ -40,6 +40,9 @@ FAIL_RANK = "rank_not_n_minus_1"
 FAIL_UNIT = "cofactor_unit_not_constant"
 FAIL_HEIGHT = "height_of_row_ideal_below_3"
 
+# CLI output, and it holds with no gcd taken: a generator of the cyclic
+# syzygy module is primitive, since a common factor could be divided out of
+# it, and the engine makes its first nonzero component monic
 _NORMALIZATION = "gcd removed; first nonzero component monic"
 
 
@@ -77,26 +80,6 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _annihilator(M: PolyMatrix, chosen, raw, budget: Budget | None) -> GammaVector:
-    """Normalized row annihilator of M from its left kernel vector raw.
-
-    raw comes from left_kernel(M), whose pivot columns are chosen. The
-    normalized vector has the gcd of raw divided out and its first nonzero
-    component monic; it must annihilate all of M. Only gamma takes this
-    route; check_presentation reads its annihilators from syzygies.
-    """
-    common = M.ring.zero()
-    for p in raw:
-        common = gcd(common, p, budget=budget)
-    components = [exact_div(p, common) if not p.is_zero() else p for p in raw]
-    lead = next(p for p in components if not p.is_zero())
-    scale = lead.lead_coeff()
-    if scale != 1:
-        components = [p * (1 / scale) for p in components]
-    _assert_annihilates(components, M)
-    return GammaVector(components, M, chosen, _NORMALIZATION)
-
-
 def _assert_annihilates(g, M: PolyMatrix):
     for j in range(M.cols):
         total = M.ring.zero()
@@ -121,20 +104,41 @@ def _syzygy_generator(F: ModuleBasis, budget: Budget | None):
     return S.generators[0] if len(S.generators) == 1 else None
 
 
+# the first primes, one per variable, where distinct monomials differ
+def _evaluation_point(ring):
+    primes = [2]
+    while len(primes) < ring.nvars:
+        primes.append(next(k for k in count(primes[-1]) if all(k % q for q in primes)))
+    return primes[:ring.nvars]
+
+
 def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     """Normalized generator of the row annihilator of M (rank must be n-1).
 
-    The defining submatrix is the lexicographically first full-rank choice
-    of n-1 columns, the pivot columns of the one elimination left_kernel
-    runs; the result does not depend on it (up to the fixed normalization),
-    which the tests exercise over all subsets.
+    g generates the syzygies of the rows, as in check_presentation; for
+    any shape of M they are cyclic and nonzero exactly at rank n-1. The
+    column_subset is the lexicographically first full-rank n-1 columns,
+    each shown independent of those before it by full rank at one rational
+    point or else by a syzygy run; g does not depend on the choice.
     """
-    chosen, raw = left_kernel(M)
-    if raw is None:
+    g = _syzygy_generator(column_module(M.transpose()), budget)
+    if g is None:
         raise ValueError("gamma needs rank exactly rows - 1")
-    if M.rows < 2:  # a zero row has that rank, and raw = (1,)
+    if M.rows < 2:  # a zero row has that rank, and g = (1,)
         raise ValueError("gamma needs at least two rows")
-    return _annihilator(M, chosen, raw, budget)
+    point = _evaluation_point(M.ring)
+    at_point = M.map_entries(lambda p: M.ring.constant(p.evaluate(point)))
+    chosen = []
+    for j in range(M.cols):
+        cols = chosen + [j]
+        # full rank at a point proves full rank over R; otherwise the
+        # columns are independent exactly when they have no syzygy
+        if len(chosen) < M.rows - 1 and (
+                rank(at_point.submatrix(range(M.rows), cols)) == len(cols)
+                or not syzygies(column_module(M.submatrix(range(M.rows), cols)),
+                                budget=budget).generators):
+            chosen.append(j)
+    return GammaVector(g, M, chosen, _NORMALIZATION)
 
 
 class PresentationReport:
@@ -182,17 +186,17 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
 
     M must have rank n-1. The row annihilator of M is then a reflexive
     module of rank 1 over a factorial ring, so it is free, generated by the
-    primitive g = gamma(M); likewise h = gamma(M^T) for the columns. Both
-    are read from the Groebner engine: the syzygies of the rows of M are
-    zero at full rank, the cyclic module R*g at rank n-1, and of rank 2 or
-    more below, and those of the columns give h. At rank n-1 the cofactor
-    matrix C has rank 1 with columns in the span of g and rows in the span
-    of h, and as both are primitive, C = u * g * h^T for a polynomial u,
-    read off one (n-1)-minor. It requires u to be a nonzero constant, and
-    the ideal of the h components to have height at least 3. Failures are
-    reported, never raised. The report is kept on M: a later call on the
-    same object returns it, whatever that call's budget. A run that exceeds
-    its budget keeps nothing.
+    primitive g. The syzygies of the rows of M, the run gamma(M) makes too,
+    are zero at full rank, the cyclic module R*g at rank n-1, and of rank 2
+    or more below; those of the columns give h. The column subsets of g and
+    h are read off h and g. At rank n-1 the cofactor matrix C has rank 1
+    with columns in the span of g and rows in the span of h, and as both
+    are primitive, C = u * g * h^T for a polynomial u, read off one
+    (n-1)-minor. It requires u to be a nonzero constant, and the ideal of
+    the h components to have height at least 3. Failures are reported,
+    never raised. The report is kept on M: a later call on the same object
+    returns it, whatever that call's budget. A run that exceeds its budget
+    keeps nothing.
     """
     if "presentation" not in M._cache:
         M._cache["presentation"] = _presentation_report(M, budget)

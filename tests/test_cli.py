@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -425,6 +426,20 @@ def test_budget_environment_override(tmp_path, capsys, monkeypatch):
     code, report = invoke(capsys, "--budget-seconds", "nan", "resolve", path)
     assert code == EXIT_ERROR
     assert "finite" in report["result"]["error"]
+
+
+def test_gamma_command_stops_at_its_budget(tmp_path, capsys):
+    from test_presentation import CHECK_INTERVAL, substituted_sweep_matrix
+    S = substituted_sweep_matrix((7, 8, 10))
+    path = write(tmp_path, "s.json", {
+        "ring": {"vars": list(S.ring.variables)},
+        "matrix": [[str(p) for p in row] for row in S.entries]})
+    started = time.monotonic()
+    code, report = invoke(capsys, "--budget-seconds", "0.1", "gamma", path)
+    assert code == EXIT_ERROR
+    assert report["result"] == {"error": "syzygies: time budget exceeded",
+                                "budget_exceeded": True}
+    assert time.monotonic() - started < 0.1 + CHECK_INTERVAL
 
 
 def test_usage_errors_remap_to_one(capsys):

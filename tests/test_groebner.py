@@ -664,8 +664,8 @@ def twisted_cubic_and_a_multiple():
 
 
 def common_factor_matrix():
-    # rank 1, and the raw annihilator of its first column, (y - t, -x - t)
-    # times x*z - y^2, has a gcd that is not a monomial
+    # rank 1: gamma reads (y - t, -x - t) from a syzygy run on the rows,
+    # while the signed minors of its first column carry the factor x*z - y^2
     return PolyMatrix.from_text(XYZT, [
         ["(x + t)*(x*z - y^2)", "(x + t)*(z + t)"],
         ["(y - t)*(x*z - y^2)", "(y - t)*(z + t)"],

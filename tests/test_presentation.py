@@ -1,6 +1,7 @@
 """Presentation-matrix tests: annihilator vectors, checks, resolutions, zeta."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -33,7 +34,9 @@ from presmat import (
     zeta,
 )
 from presmat import presentation
+from presmat.matrices import left_kernel
 from presmat.presentation import FAIL_HEIGHT, FAIL_RANK, FAIL_UNIT
+from presmat.ring import exact_div
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -545,7 +548,6 @@ def test_property_gamma_subset_independence():
             for p in minors:
                 common = p if common is None else gcd(common, p)
             normalized = []
-            from presmat.ring import exact_div
             for p in minors:
                 normalized.append(exact_div(p, common))
             scale = next(p for p in normalized if not p.is_zero()).lead_coeff()
@@ -572,7 +574,6 @@ def test_property_gamma_annihilates():
 def test_property_cofactor_factorization():
     # every singular-by-one square matrix factors its cofactor matrix as
     # u * (g_i h_j); recomputed from scratch, not through check_presentation
-    from presmat.ring import exact_div
     rng = random.Random(13)
     for _ in range(200):
         n = rng.choice([2, 3])
@@ -598,7 +599,6 @@ def test_property_cofactor_factorization():
 def test_property_pfaffian_agreement():
     # alternating odd rank n-1: the normalized signed pfaffian vector equals
     # gamma on both sides
-    from presmat.ring import exact_div
     rng = random.Random(14)
     cases = 0
     while cases < 200:
@@ -706,18 +706,35 @@ def sparse_dependency(rng, n):
             return M
 
 
+def elimination_gamma(M):
+    """The annihilator of M by the elimination route, the cross-route
+    oracle: the pivot columns and signed maximal minors of one elimination
+    of [M | I], with the gcd of the minors divided out and the first
+    nonzero component made monic. Returns (components, column_subset)."""
+    chosen, raw = left_kernel(M)
+    assert raw is not None, "the oracle needs rank exactly rows - 1"
+    common = M.ring.zero()
+    for p in raw:
+        common = gcd(common, p)
+    components = [exact_div(p, common) if not p.is_zero() else p for p in raw]
+    scale = next(p for p in components if not p.is_zero()).lead_coeff()
+    return tuple(p * (1 / scale) for p in components), tuple(chosen)
+
+
 def assert_report_matches_gamma(M):
+    # the report and gamma read g and h by the same syzygy call but derive
+    # their column subsets apart; the elimination route checks both
     rep = check_presentation(M)
     assert rep.failure_reason != FAIL_RANK
-    for got, want in ((rep.gamma, gamma(M)),
-                      (rep.gamma_transpose, gamma(M.transpose()))):
-        assert got.components == want.components
-        assert got.column_subset == want.column_subset
+    for got, side in ((rep.gamma, M), (rep.gamma_transpose, M.transpose())):
+        want = elimination_gamma(side)
+        for vec in (got, gamma(side)):
+            assert (vec.components, vec.column_subset) == want
 
 
 def test_report_annihilators_match_gamma():
-    # check_presentation reads g and h from syzygies; gamma runs its own
-    # elimination; the two derivations must agree exactly
+    # the syzygy route of the report and of gamma against the elimination
+    # route; the derivations must agree exactly
     rng = random.Random(17)
     subsets = set()
     for _ in range(60):
@@ -776,8 +793,8 @@ def scaled_koszul(rng, ring, graded):
 
 
 def test_report_annihilators_match_gamma_across_families():
-    # the report reads g and h from the Groebner engine's syzygies, gamma
-    # from a fraction-free elimination and a vector gcd: a cross-route oracle
+    # the report and gamma read g and h from the Groebner engine's
+    # syzygies, the oracle from a fraction-free elimination and a vector gcd
     rng = random.Random(19)
     matrices = [graded_product(rng, XYZT, 3) for _ in range(40)]
     matrices += [rank_deficient(rng, XYZ, n, n) for n in [2, 3, 3, 4] * 10]
@@ -831,6 +848,75 @@ def test_report_annihilators_match_gamma_on_substituted_sweep(sweep_matrices):
             assert check_presentation(S).is_presentation
             compared += 1
     assert compared == 10
+
+
+def substituted_sweep_matrix(case):
+    """The substituted sweep matrix of one (n, a, b) case, drawn as
+    test_report_annihilators_match_gamma_on_substituted_sweep draws it."""
+    from test_acceptance import _uniform_construction_cases
+    rng = random.Random(1)
+    for n, a, b in _uniform_construction_cases():
+        S = substituted(homogeneous_matrix(n, a, b), rng)
+        if (n, a, b) == tuple(case):
+            return S
+    raise ValueError("not a sweep case: %r" % (case,))
+
+
+# a step of the engine looks at its clock at least this often on the
+# substituted sweep matrices (0.2 s at most on a 2-vCPU machine)
+CHECK_INTERVAL = 1.0
+
+
+def test_gamma_stops_at_its_budget():
+    # the rows' syzygies of substituted (7,8,10) take about 0.5 s; the
+    # elimination route ran past 40 s on it, with no budget
+    S = substituted_sweep_matrix((7, 8, 10))
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="time budget exceeded"):
+        gamma(S, budget=Budget(seconds=0.1))
+    assert time.monotonic() - started < 0.1 + CHECK_INTERVAL
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (4, 6), (5, 7)])
+def test_gamma_matches_elimination_on_rectangular_matrices(n, m):
+    # the shapes on which reading the pivot columns off a Groebner basis of
+    # the column syzygies blows up; column 1 of the widened matrix is x
+    # times column 0, so its pivot columns skip it
+    rng = random.Random(11)
+    x = XYZ.variable("x")
+    for _ in range(10):
+        M = rank_deficient(rng, XYZ, n, m)
+        wide = PolyMatrix(XYZ, [[row[0], x * row[0], *row[1:]] for row in M.entries])
+        for A in (M, wide):
+            g = gamma(A)
+            assert (g.components, g.column_subset) == elimination_gamma(A)
+        assert 1 not in g.column_subset
+
+
+def test_gamma_decides_columns_dependent_at_the_point_by_syzygies(monkeypatch):
+    # column 1 is z times column 0, and column 2 equals column 0 at the
+    # evaluation point but not over R: both reach a syzygy run, which finds
+    # a relation for column 1 and none for column 2
+    point = presentation._evaluation_point(XYZ)
+    x, y, z = (XYZ.variable(v) for v in "xyz")
+    a = [x, y, z]
+    b = [2 * x - point[0], y, z]
+    M = PolyMatrix(XYZ, [[a[i], z * a[i], b[i]] for i in range(3)])
+    assert [p.evaluate(point) for p in a] == [p.evaluate(point) for p in b]
+    runs = []
+    syzygies = presentation.syzygies
+
+    def spy(F, budget=None):
+        S = syzygies(F, budget=budget)
+        runs.append((len(F.generators), len(S.generators)))
+        return S
+
+    monkeypatch.setattr(presentation, "syzygies", spy)
+    g = gamma(M)
+    assert runs[1:] == [(2, 1), (2, 0)]  # after the run on the rows
+    assert g.column_subset == (0, 2)
+    assert (g.components, g.column_subset) == elimination_gamma(M)
+    assert texts(g) == ["0", "z", "-y"]
 
 
 def test_several_syzygy_generators_of_a_cyclic_module():
