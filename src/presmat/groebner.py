@@ -719,9 +719,17 @@ def member_with_cofactors(p: Polynomial, I: IdealBasis,
 def _lt_generators(I: IdealBasis, budget: Budget | None = None):
     """Minimal generators of the leading-term ideal, sorted: the leads of
     the reduced basis, which are distinct and divide no other; None when 1
-    lies in I."""
-    basis = _gb(I, _basis_clock(I, budget))
-    monos = sorted(basis.lead(i)[1] for i in range(len(basis.elems)))
+    lies in I. An ideal of single terms is its own leading-term ideal, and
+    its reduced basis is its divisibility-minimal monomials, so those are
+    read off the generators with no basis run."""
+    gens = [p for p in I.generators if p]
+    if all(len(p.terms) == 1 for p in gens):
+        terms = {m for p in gens for m in p.terms}
+        monos = sorted(m for m in terms
+                       if not any(o != m and _mono_divides(o, m) for o in terms))
+    else:
+        basis = _gb(I, _basis_clock(I, budget))
+        monos = sorted(basis.lead(i)[1] for i in range(len(basis.elems)))
     if any(sum(m) == 0 for m in monos):
         return None
     return monos

@@ -8,12 +8,17 @@ column subset. Eliminating [A | I] with pivots in A's columns only gives
 those pivot columns and, at rank rows - 1, all signed maximal minors of
 the pivot columns (the left kernel vector) in the identity part of the
 leftover row. The cofactor matrix of an n x n matrix is built from n of
-those, one per deleted column, instead of n^2 determinants. Pfaffians
+those, one per deleted column, instead of n^2 determinants. The same
+elimination runs on a matrix of numbers, such as the values of a matrix
+at a point (value_left_kernel). Pfaffians
 expand recursively along the first row, which is fine at the sizes that
 occur here.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from operator import floordiv, truediv
 
 from .ring import NEG_INF, Polynomial, RingContext, exact_div
 
@@ -209,11 +214,13 @@ def minor(M: PolyMatrix, rows, cols) -> Polynomial:
     return det(M.submatrix(rows, cols))
 
 
-def _eliminate(rows, pivot_cols: int):
+def _eliminate(rows, pivot_cols: int, div=exact_div, weight=_degree_rank):
     """Column-ordered fraction-free elimination of a copy of rows.
 
-    Each of the first pivot_cols columns in turn takes as pivot its
-    lowest-degree nonzero entry among the rows not yet used, and is skipped
+    Entries are polynomials, or numbers when the caller passes a matching
+    exact division div and pivot weight. Each of the first pivot_cols
+    columns in turn takes as pivot its nonzero entry of least weight (for
+    polynomials, the lowest degree) among the rows not yet used, and is skipped
     when it has none, so the pivot columns are the greedy
     (lexicographically first) full-rank column subset; later columns, such
     as left_kernel's identity block, are only carried along. The rows below
@@ -239,7 +246,7 @@ def _eliminate(rows, pivot_cols: int):
         for i in range(r, nrows):
             p = a[i][col]
             if p:
-                dr = _degree_rank(p)
+                dr = weight(p)
                 if best is None or dr < best:
                     best, pivot_row = dr, i
         if pivot_row is None:
@@ -260,7 +267,7 @@ def _eliminate(rows, pivot_cols: int):
                     num = pk * aij
                 else:  # both products vanish
                     continue
-                ai[j] = exact_div(num, prev) if num and prev is not None else num
+                ai[j] = div(num, prev) if num and prev is not None else num
         prev = pk
         pivots.append(col)
     return a, pivots, sign
@@ -282,12 +289,25 @@ def left_kernel(A: PolyMatrix):
     Returns v_i = (-1)^i * det(A_P without row i) then, so v A = 0 and v
     is nonzero; at any other rank v is None.
     """
-    n, m = A.rows, A.cols
     ring = A.ring
-    one, zero = ring.one(), ring.zero()
+    return _left_kernel(A.entries, ring.one(), ring.zero(), exact_div, _degree_rank)
+
+
+def value_left_kernel(rows):
+    """left_kernel of a matrix of numbers, given as rows of ints or
+    Fractions: the same elimination, dividing exactly by // on ints and by
+    / on Fractions, with the pivot of least absolute value."""
+    if all(type(x) is int for row in rows for x in row):
+        return _left_kernel(rows, 1, 0, floordiv, abs)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    return _left_kernel(rows, Fraction(1), Fraction(0), truediv, abs)
+
+
+def _left_kernel(rows, one, zero, div, weight):
+    n, m = len(rows), len(rows[0])
     augmented = [list(row) + [one if k == i else zero for k in range(n)]
-                 for i, row in enumerate(A.entries)]
-    a, pivots, sign = _eliminate(augmented, m)
+                 for i, row in enumerate(rows)]
+    a, pivots, sign = _eliminate(augmented, m, div, weight)
     if len(pivots) != n - 1:
         return pivots, None
     tail = a[-1][m:]

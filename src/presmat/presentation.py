@@ -9,6 +9,7 @@ checked as a height (the Koszul examples in the tests pin this down).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, count
 
 from .groebner import (
@@ -17,6 +18,7 @@ from .groebner import (
     IdealBasis,
     ModuleBasis,
     UnitIdealError,
+    _Clock,
     groebner_basis,
     height,
     ideal_equal,
@@ -33,6 +35,7 @@ from .matrices import (
     left_kernel,
     minor,
     rank,
+    value_left_kernel,
 )
 from .ring import exact_div, gcd
 
@@ -80,12 +83,16 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _assert_annihilates(g, M: PolyMatrix):
+def _assert_annihilates(g, M: PolyMatrix, clock: _Clock):
+    """g * M = 0, skipping zero factors; each product is charged to clock."""
     for j in range(M.cols):
         total = M.ring.zero()
         for i in range(M.rows):
-            total = total + g[i] * M.entry(i, j)
-        if not total.is_zero():
+            a, b = g[i], M.entry(i, j)
+            if a and b:
+                clock.tick(len(a.terms) * len(b.terms))
+                total = total + a * b
+        if total:
             raise AssertionError("annihilator check failed; rank computation is off")
 
 
@@ -184,19 +191,26 @@ def _height_or_inf(gens, ring, budget: Budget | None):
 def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> PresentationReport:
     """Decide the presentation property for a square matrix.
 
-    M must have rank n-1. The row annihilator of M is then a reflexive
-    module of rank 1 over a factorial ring, so it is free, generated by the
-    primitive g. The syzygies of the rows of M, the run gamma(M) makes too,
-    are zero at full rank, the cyclic module R*g at rank n-1, and of rank 2
-    or more below; those of the columns give h. The column subsets of g and
-    h are read off h and g. At rank n-1 the cofactor matrix C has rank 1
-    with columns in the span of g and rows in the span of h, and as both
-    are primitive, C = u * g * h^T for a polynomial u, read off one
-    (n-1)-minor. It requires u to be a nonzero constant, and the ideal of
-    the h components to have height at least 3. Failures are reported,
-    never raised. The report is kept on M: a later call on the same object
-    returns it, whatever that call's budget. A run that exceeds its budget
-    keeps nothing.
+    M must have rank n-1. M is evaluated once at a rational point p (the
+    first primes), and one elimination of those numbers gives its rank
+    there: full rank at p proves full rank, which fails the test with no
+    syzygy run. Otherwise the row annihilator of M is a reflexive module
+    of rank 1 over a factorial ring if the rank is n-1, so it is free,
+    generated by the primitive g. The syzygies of the rows of M, the run
+    gamma(M) makes too, are the cyclic module R*g at rank n-1, and of rank
+    2 or more below; those of the columns give h. g * M = 0 and M * h = 0
+    are checked once, under the budget. The column subsets of g and h are
+    read off h and g. At rank n-1 the cofactor matrix C has rank 1 with
+    columns in the span of g and rows in the span of h, and as both are
+    primitive, C = u * g * h^T for a polynomial u. When shifts grade M and
+    M has rank n-1 at p, the degrees give deg u; if it is 0, u is the
+    constant C_ic(p) / (g_i(p) * h_c(p)), C_ic(p) read off the same
+    elimination. Otherwise u is the quotient of one (n-1)-minor. The test
+    requires u to be a nonzero constant, and the ideal of the h components
+    to have height at least 3. Failures are reported, never raised. The
+    report is kept on M: a later call on the same object returns it,
+    whatever that call's budget. A run that exceeds its budget keeps
+    nothing.
     """
     if "presentation" not in M._cache:
         M._cache["presentation"] = _presentation_report(M, budget)
@@ -208,14 +222,19 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     if n != M.cols or n < 2:
         raise ValueError("check_presentation needs a square matrix of size >= 2")
     is_minimal = all(p.constant_term() == 0 for row in M.entries for p in row)
+    point = _evaluation_point(M.ring)
+    pivots, kernel = value_left_kernel([[p.evaluate(point) for p in row]
+                                        for row in M.entries])
     T = M.transpose()
-    g = _syzygy_generator(column_module(T), budget)
+    # full rank at p proves full rank; a rank deficit at p proves nothing
+    g = None if len(pivots) == n else _syzygy_generator(column_module(T), budget)
     if g is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
     h = _syzygy_generator(column_module(M), budget)
-    _assert_annihilates(g, M)
-    _assert_annihilates(h, T)
+    clock = _Clock(budget, "annihilator check")
+    _assert_annihilates(g, M, clock)
+    _assert_annihilates(h, T, clock)
     # the greedy pivot columns of M leave out the last column that the
     # relation h among the columns involves, and those of M^T the last row
     # that g involves
@@ -226,20 +245,64 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
-    # the cofactor C_iq = (-1)^(i+q) * minor without row i and column q is
-    # u * g_i * h_q, and g_i * h_q is nonzero
-    i = next(i for i in range(n) if not g[i].is_zero())
-    cofactor = minor(M, [k for k in range(n) if k != i], g.column_subset)
-    try:
-        unit = exact_div(cofactor if (i + q) % 2 == 0 else -cofactor, g[i] * h[q])
-    except ValueError:
-        raise AssertionError("cofactor matrix is not u * g * h^T") from None
+    unit = _constant_unit(M, g, h, point, pivots, kernel)
+    if unit is None:
+        # the cofactor C_iq = (-1)^(i+q) * minor without row i and column q
+        # is u * g_i * h_q, and g_i * h_q is nonzero
+        i = next(i for i in range(n) if not g[i].is_zero())
+        cofactor = minor(M, [k for k in range(n) if k != i], g.column_subset)
+        try:
+            unit = exact_div(cofactor if (i + q) % 2 == 0 else -cofactor, g[i] * h[q])
+        except ValueError:
+            raise AssertionError("cofactor matrix is not u * g * h^T") from None
     if not unit.is_unit():
         return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT)
     hJ = _height_or_inf([p for p in h if not p.is_zero()], M.ring, budget)
     if hJ < 3:
         return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT)
     return PresentationReport(True, g, h, unit, hJ, is_minimal, None)
+
+
+def _constant_unit(M: PolyMatrix, g, h, point, pivots, kernel):
+    """u of C = u * g * h^T from degrees and M's values at the point, or
+    None when that route does not decide it.
+
+    It decides when M has rank n-1 at the point p and shifts grade M. The
+    elimination of M(p) then leaves one column c outside its pivots, and
+    the vector v with v_i = (-1)^c * C_ic(p) (see left_kernel). C(p) =
+    u(p) * g(p) * h(p)^T is nonzero at that rank, so g(p) spans the left
+    kernel of M(p), as v does, and h(p) the right one, where column c is a
+    combination of the pivots: for v_i != 0, g_i(p) * h_c(p) != 0. g and h
+    are homogeneous, as generators of graded cyclic modules, so u is
+    homogeneous of degree deg C_ic - deg g_i - deg h_c; when that is 0, u
+    is the constant C_ic(p) / (g_i(p) * h_c(p)).
+    """
+    shifts = None if kernel is None else _admitted_shifts(M, g)
+    if shifts is None:
+        return None
+    a, b = shifts
+    n = M.rows
+    c = next(j for j in range(n) if j not in pivots)
+    i = next(k for k in range(n) if kernel[k])
+    # the minor without row i and column c is homogeneous of this degree
+    degree = (sum(b) - b[c]) - (sum(a) - a[i]) - g[i].degree() - h[c].degree()
+    if degree != 0:
+        return None
+    denominator = g[i].evaluate(point) * h[c].evaluate(point)
+    if not denominator:
+        raise AssertionError("cofactor matrix is not u * g * h^T")
+    cofactor = kernel[i] if c % 2 == 0 else -kernel[i]
+    return M.ring.constant(Fraction(cofactor) / denominator)
+
+
+def _admitted_shifts(M: PolyMatrix, g):
+    """Shifts (a, b) that grade M, M's own or else derived from g, or None."""
+    if M.row_shifts is not None and M.col_shifts is not None:
+        return (M.row_shifts, M.col_shifts) if check_graded(M) else None
+    try:
+        return _derive_shifts(M, g)
+    except ValueError:
+        return None
 
 
 def _minimal_presentation(M: PolyMatrix, budget: Budget | None, message: str):
@@ -341,8 +404,7 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     for m in (phi1, phi2, phi3):
         if not check_graded(m):
             raise ValueError("grading inconsistency in the assembled chain")
-    if not (phi1 @ phi2).is_zero() or not (phi2 @ phi3).is_zero():
-        raise AssertionError("annihilator composites must vanish")
+    # the composites g * M and M * h vanish: the report checked both
     # exactness, specialized: gcd(gamma) = 1 gives height(I_M) >= 2; the
     # submaximal minors, the entries of C = u * g * h^T up to sign, have
     # gcd(g) * gcd(h) = 1; the row ideal height comes from the report

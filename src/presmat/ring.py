@@ -285,14 +285,16 @@ class Polynomial:
             return self
         return self * (Fraction(1) / lc)
 
-    def evaluate(self, point) -> Fraction:
-        """Value at a point given as one Fraction-like per ring variable."""
-        values = [Fraction(v) for v in point]
+    def evaluate(self, point):
+        """Value at a point given as one Fraction-like per ring variable:
+        an int when the point and the coefficients are integers, else a
+        Fraction."""
+        values = [v if type(v) is int else Fraction(v) for v in point]
         if len(values) != self.ring.nvars:
             raise ValueError("point length mismatch")
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
-            v = c
+            v = c.numerator if c.denominator == 1 else c
             for x, e in zip(values, m):
                 if e:
                     v *= x ** e

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -223,6 +223,74 @@ def test_hilbert_function_of_non_monomial_ideal():
     lt = [g.lead_monomial() for g in G.generators]
     for d in range(7):
         assert hilbert_function(I, d) == enumerate_standard(lt, XYZ, d)
+
+
+def seeded_monomial_ideal(rng, ring):
+    """Single-term generators with the clutter the monomial path must see
+    through: duplicates, multiples of other generators, coefficients other
+    than 1 and zero generators."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(1, 4)):
+            e[rng.randrange(ring.nvars)] += 1
+        gens.append(ring.monomial(e, rng.choice([1, 3, -2, Fraction(5, 7)])))
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        p = rng.choice(gens)
+        if kind == 0:
+            gens.append(p * rng.choice([1, -1, 4]))
+        elif kind == 1:
+            gens.append(p * ring.variable(rng.choice(ring.variables)))
+        else:
+            gens.append(ring.zero())
+    rng.shuffle(gens)
+    return IdealBasis(gens, ring=ring)
+
+
+def independent_dimension(leads, nvars):
+    """Krull dimension of R/(leads) by brute force: the largest set of
+    variables that supports no generator."""
+    for size in range(nvars, -1, -1):
+        for free in combinations(range(nvars), size):
+            if not any(all(i in free for i, e in enumerate(m) if e) for m in leads):
+                return size
+
+
+def test_monomial_ideals_read_their_leads_without_a_basis_run(monkeypatch):
+    # groebner_basis runs Buchberger on the same ideal; its leads are the
+    # oracle for the lead-term generators, the height, the dimension and
+    # the Hilbert function, which then must not run a basis
+    rng = random.Random(41)
+    ideals = [seeded_monomial_ideal(rng, XYZT) for _ in range(40)]
+    ideals.append(ideal(XYZT, "3*x^2*y", "x^2*y", "0", "x^3*y*z", "-1/2*y^4"))
+    leads = [sorted(g.lead_monomial() for g in groebner_basis(I).generators)
+             for I in ideals]
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a monomial ideal ran a Groebner basis")
+
+    monkeypatch.setattr(engine, "_gb", no_basis)
+    for I, lt in zip(ideals, leads):
+        assert engine._lt_generators(I) == lt
+        dim = independent_dimension(lt, XYZT.nvars)
+        assert dimension(I) == dim
+        assert height(I) == XYZT.nvars - dim
+        for d in range(6):
+            assert hilbert_function(I, d) == enumerate_standard(lt, XYZT, d)
+    assert engine._lt_generators(ideals[-1]) == [(0, 4, 0, 0), (2, 1, 0, 0)]
+
+
+def test_monomial_ideal_with_a_constant_generator_is_the_unit_ideal():
+    for I in (ideal(XYZ, "x^2", "3", "0"), ideal(XYZ, "-1/2"),
+              IdealBasis([XYZ.constant(5), XYZ.zero()], ring=XYZ)):
+        assert [str(g) for g in groebner_basis(I).generators] == ["1"]
+        assert engine._lt_generators(I) is None
+        with pytest.raises(UnitIdealError):
+            dimension(I)
+        with pytest.raises(UnitIdealError):
+            height(I)
+        assert hilbert_function(I, 0) == hilbert_function(I, 2) == 0
 
 
 def test_hilbert_function_edges():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from presmat.matrices import (
     pfaffian,
     pfaffians,
     rank,
+    value_left_kernel,
 )
 from presmat.ring import RingContext, exact_div
 
@@ -403,3 +405,37 @@ def test_degree_matrix_monotone_for_sorted_shifts():
         M = PolyMatrix(ring, entries, row_shifts=a, col_shifts=b)
         assert check_graded(M)
         assert degree_matrix(M).is_monotone()
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_value_left_kernel_matches_the_determinant_oracle(fractions):
+    # numbers of rank r <= rows: a product of random n x r and r x m
+    # factors, with Fraction entries in the second case
+    rng = random.Random(3303 + fractions)
+    kernels = deficient = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = rng.randint(max(1, n - 1), n + 1)
+        r = rng.randint(0, min(n, m))
+
+        def number():
+            k = rng.randint(-5, 5)
+            return Fraction(k, rng.randint(1, 4)) if fractions else k
+
+        A = [[number() for _ in range(r)] for _ in range(n)]
+        B = [[number() for _ in range(m)] for _ in range(r)]
+        rows = [[sum((A[i][k] * B[k][j] for k in range(r)), 0) for j in range(m)]
+                for i in range(n)]
+        pivots, v = value_left_kernel(rows)
+        M = PolyMatrix(XYZT, [[XYZT.constant(x) for x in row] for row in rows])
+        expected = laplace_pivots(M)
+        assert tuple(pivots) == expected
+        if len(expected) != n - 1:
+            assert v is None
+            deficient += 1
+            continue
+        assert [XYZT.constant(x) for x in v] == laplace_left_kernel(M, expected)
+        if not fractions:
+            assert all(type(x) is int for x in v)
+        kernels += 1
+    assert kernels >= 8 and deficient >= 8

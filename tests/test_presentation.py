@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -198,7 +199,7 @@ def test_check_shared_diagonal_factor_fails_on_unit():
     x2 = parse("x^2", XYZ)
     M = PolyMatrix.diagonal(XYZ, [x2, x2, x2]) @ koszul(
         XYZ, *(XYZ.variable(v) for v in "xyz"))
-    rep = check_presentation(M)
+    rep, _C = assert_cofactors_factor(M)
     assert not rep.is_presentation
     assert rep.failure_reason == FAIL_UNIT
     assert str(rep.cofactor_unit) == "x^4"
@@ -792,13 +793,20 @@ def scaled_koszul(rng, ring, graded):
     return PolyMatrix.diagonal(ring, g) @ koszul(ring, *h)
 
 
-def test_report_annihilators_match_gamma_across_families():
-    # the report and gamma read g and h from the Groebner engine's
-    # syzygies, the oracle from a fraction-free elimination and a vector gcd
+def family_matrices():
+    """120 seeded matrices: graded products, sparse rank-deficient squares
+    and scaled Koszul matrices, half of these off the grading."""
     rng = random.Random(19)
     matrices = [graded_product(rng, XYZT, 3) for _ in range(40)]
     matrices += [rank_deficient(rng, XYZ, n, n) for n in [2, 3, 3, 4] * 10]
     matrices += [scaled_koszul(rng, XYZ, k % 2 == 0) for k in range(40)]
+    return matrices
+
+
+def test_report_annihilators_match_gamma_across_families():
+    # the report and gamma read g and h from the Groebner engine's
+    # syzygies, the oracle from a fraction-free elimination and a vector gcd
+    matrices = family_matrices()
     verdicts = set()
     for M in matrices:
         if rank(M) != M.rows - 1:
@@ -932,19 +940,28 @@ def test_several_syzygy_generators_of_a_cyclic_module():
     assert report.failure_reason == FAIL_UNIT
 
 
-def assert_cofactors_have_unit_gcd(M):
-    # C = u * g * h^T with u a unit and gcd(g) = gcd(h) = 1, so the
-    # submaximal minors of a presentation matrix share no factor; C comes
-    # from cofactor_matrix, which the determinant oracle pins down, not
-    # from the report
+def assert_cofactors_factor(M):
+    """C = u * g * h^T entry by entry for the report's u, g and h, with C
+    from cofactor_matrix, which the determinant oracle pins down and which
+    shares no step with the report's route to u. Returns the report and C."""
     rep = check_presentation(M)
-    assert rep.is_presentation
+    assert rep.failure_reason != FAIL_RANK
     C = cofactor_matrix(M)
     u, g, h = rep.cofactor_unit, rep.gamma, rep.gamma_transpose
-    common = M.ring.zero()
     for i, row in enumerate(C.entries):
         for j, p in enumerate(row):
             assert p == u * g[i] * h[j]
+    return rep, C
+
+
+def assert_cofactors_have_unit_gcd(M):
+    # C = u * g * h^T with u a unit and gcd(g) = gcd(h) = 1, so the
+    # submaximal minors of a presentation matrix share no factor
+    rep, C = assert_cofactors_factor(M)
+    assert rep.is_presentation
+    common = M.ring.zero()
+    for row in C.entries:
+        for p in row:
             common = gcd(common, p)
     assert common.is_unit()
 
@@ -952,6 +969,125 @@ def assert_cofactors_have_unit_gcd(M):
 def test_cofactors_have_unit_gcd_on_sweep(sweep_matrices):
     for M in sweep_matrices:
         assert_cofactors_have_unit_gcd(M)
+
+
+@pytest.fixture
+def minor_runs(monkeypatch):
+    """The row sets of each minor the presentation layer takes: the check
+    takes one only when the degrees and M's values at the point leave u
+    open."""
+    seen = []
+    minor = presentation.minor
+    monkeypatch.setattr(presentation, "minor",
+                        lambda M, rows, cols: seen.append(rows) or minor(M, rows, cols))
+    return seen
+
+
+def test_unit_factors_the_cofactors_on_the_sweep(sweep_matrices, minor_runs):
+    # fresh copies, for the fixture's matrices may keep reports from other
+    # tests; every u of the sweep and of its transposes is a constant read
+    # at the evaluation point
+    for M in sweep_matrices:
+        for A in (PolyMatrix(M.ring, M.entries), M.transpose()):
+            assert assert_cofactors_factor(A)[0].cofactor_unit.is_unit()
+    assert minor_runs == []
+
+
+def derives_shifts(M, rep):
+    """Whether shifts derived from the report's g grade M."""
+    try:
+        presentation._derive_shifts(M, rep.gamma)
+    except ValueError:
+        return False
+    return True
+
+
+def test_unit_factors_the_cofactors_across_families(minor_runs):
+    verdicts = set()
+    graded_units = 0
+    for M in family_matrices():
+        if rank(M) != M.rows - 1:
+            continue
+        taken = len(minor_runs)
+        rep, _C = assert_cofactors_factor(M)
+        verdicts.add(rep.failure_reason)
+        if rep.failure_reason != FAIL_UNIT and derives_shifts(M, rep):
+            assert len(minor_runs) == taken  # read at the point
+            graded_units += 1
+    assert verdicts == {None, FAIL_UNIT, FAIL_HEIGHT}
+    assert graded_units > 0
+
+
+def test_unit_of_an_ungraded_presentation_comes_from_a_minor(minor_runs):
+    M = PolyMatrix.from_text(XYZ, [
+        ["0", "-3", "1/2*z - 1"],
+        ["3*y", "0", "-2*y - 3"],
+        ["-9*y*z", "-9/2", "6*y*z + 39/4*z - 3/2"],
+    ])
+    rep, _C = assert_cofactors_factor(M)
+    assert rep.is_presentation
+    assert len(minor_runs) == 1
+
+
+def test_unit_with_fractional_coefficients_is_read_at_the_point(minor_runs):
+    # M(p) holds Fractions, so the elimination divides with /
+    x, y, z = (XYZ.variable(v) for v in "xyz")
+    M = koszul(XYZ, x * Fraction(1, 2), y * Fraction(2, 3) + z, z * 3)
+    rep, _C = assert_cofactors_factor(M)
+    assert rep.is_presentation
+    assert minor_runs == []
+    # the Koszul cofactors are f * f^T, and g = h = 2 * f once made monic
+    assert str(rep.cofactor_unit) == "1/4"
+
+
+def test_unit_falls_back_to_a_minor_where_g_and_h_vanish_at_the_point(minor_runs):
+    # the linear forms of h vanish at the first primes, so M(p) = 0 and its
+    # elimination gives no cofactor there: g_i(p) * h_q(p) = 0
+    ring = RingContext(("w", "x", "y", "z"))
+    point = presentation._evaluation_point(ring)
+    w, x, y, z = (ring.variable(v) for v in "wxyz")
+    h = [point[1] * w - point[0] * x, point[2] * w - point[0] * y,
+         point[3] * w - point[0] * z]
+    assert [p.evaluate(point) for p in h] == [0, 0, 0]
+    M = koszul(ring, *h)
+    rep, _C = assert_cofactors_factor(M)
+    assert rep.is_presentation and rep.height_J == 3
+    assert len(minor_runs) == 1
+    assert all(p.evaluate(point) == 0 for p in rep.gamma)
+
+
+def test_full_rank_at_the_point_runs_no_syzygies(syzygy_runs):
+    # det M(p) != 0 proves rank n; the report is the one the syzygy route
+    # gives, which finds no relation among the rows
+    rng = random.Random(31)
+    matrices = [PolyMatrix.identity(XYZ, 3),
+                PolyMatrix.diagonal(XYZ, [XYZ.variable(v) for v in "xyz"])]
+    matrices += [PolyMatrix(XYZ, [[random_form(rng, XYZ, rng.randint(1, 2))
+                                   for _ in range(n)] for _ in range(n)])
+                 for n in [2, 3, 4, 5] * 5]
+    for M in matrices:
+        rep = check_presentation(M)
+        assert (rep.is_presentation, rep.gamma, rep.gamma_transpose,
+                rep.cofactor_unit, rep.height_J, rep.failure_reason) == \
+            (False, None, None, None, None, FAIL_RANK)
+        assert rep.is_minimal == all(p.constant_term() == 0
+                                     for row in M.entries for p in row)
+    assert syzygy_runs == []
+    for M in matrices:
+        assert presentation._syzygy_generator(column_module(M.transpose()), None) is None
+
+
+def test_annihilator_check_runs_under_the_budget(monkeypatch):
+    # the syzygy runs get no budget here, so the products g * M and M * h
+    # are the first step that can exceed it
+    M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
+    syzygy_generator = presentation._syzygy_generator
+    monkeypatch.setattr(presentation, "_syzygy_generator",
+                        lambda F, budget: syzygy_generator(F, None))
+    with pytest.raises(BudgetExceeded, match="annihilator check"):
+        check_presentation(M, budget=Budget(max_monomials=0))
+    assert "presentation" not in M._cache
+    assert check_presentation(M).is_presentation
 
 
 def test_property_resolutions_verify():

@@ -365,3 +365,24 @@ def test_elimination_block_order():
 def test_elimination_block_size_must_be_an_integer(k):
     with pytest.raises(ValueError, match="must be an integer"):
         RingContext(["t", "x", "y"], order=("elim", k))
+
+
+def test_evaluate_is_exact_and_an_int_where_it_can_be():
+    # against a sum of Fraction terms; integer coefficients at an integer
+    # point give an int, which fraction-free elimination of values needs
+    rng = random.Random(61)
+    for _ in range(50):
+        p = random_poly(rng, XYZ, max_terms=5)
+        point = [rng.randint(-4, 4) for _ in range(3)]
+        for at in (point, [Fraction(x, 3) for x in point]):
+            want = sum((c * Fraction(at[0]) ** m[0] * Fraction(at[1]) ** m[1]
+                        * Fraction(at[2]) ** m[2] for m, c in p.terms.items()),
+                       Fraction(0))
+            got = p.evaluate(at)
+            assert got == want
+            if at is point and all(c.denominator == 1 for c in p.terms.values()):
+                assert type(got) is int
+    assert parse("x^2*y - 3", XYZ).evaluate([2, 3, 5]) == 9
+    assert parse("1/2*x", XYZ).evaluate(["1/3", 0, 0]) == Fraction(1, 6)
+    with pytest.raises(ValueError):
+        parse("x", XYZ).evaluate([1, 2])
