@@ -15,18 +15,20 @@ report the integer scale they applied. Inputs are cleared of denominators
 on the way in, and results are divided back on the way out, so callers see
 the same Fraction polynomials, monic where a reduced basis is returned.
 One completion loop, _complete, serves bases, prunes and intersections:
-it runs Buchberger with the Gebauer-Moller pair criteria and sugar-degree
-selection, to the end or through a given sugar. Representations of basis
-elements in terms of the input generators are tracked on demand by the
-basis of the augmented module [F | I]: input i carries one tag term at
-position rank + i, below every real position, so each element's
-representation is the tail of its own term list, kept by the same integer
-arithmetic. That yields membership cofactors, and syzygies as the tag parts
-of the S-vectors that the tracked run reduces to zero (Schreyer; Moller-
-Mora); so a tracked run keeps the coprime-lead (Koszul) pairs, which an
-untracked run of rank 1 skips. Minimal generators of ideals and graded
-modules come from one incremental completion per call, truncated at the
-degree of the candidate under test.
+it runs Buchberger with the Gebauer-Moller pair criteria, taking pairs by
+sugar degree from a heap, to the end or through a given sugar.
+Representations of basis elements in terms of the input generators are
+tracked on demand by the basis of the augmented module [F | I]: input i
+carries one tag term at position rank + i, below every real position, so
+each element's representation is the tail of its own term list, kept by
+the same integer arithmetic. That yields membership cofactors, and
+syzygies as the tag parts of the S-vectors that the tracked run reduces
+to zero (Schreyer; Moller-Mora); so a tracked run keeps the coprime-lead
+(Koszul) pairs, which an untracked run of rank 1 skips. Minimal generators
+of ideals and graded modules come from one incremental completion per
+call, truncated at the degree of the candidate under test. A resolution
+passes from one level to the next as primitive engine vectors, not
+Polynomials (La Scala-Stillman).
 """
 
 from __future__ import annotations
@@ -373,7 +375,8 @@ class _Basis:
 
     Elements are term lists [(key, pack, coeff)] sorted by falling key, with
     integer coefficients, primitive and with a positive lead. lpacks[i] is
-    the pack of the lead of elems[i], for the divisor search in nf. Terms at
+    the pack of the lead of elems[i], for the divisor search in nf, and
+    leads[i] its (pos, exponent tuple), for the pair criteria. Terms at
     positions from rank on are tags (see _tagged): when the inputs are
     tagged, an element [b | rho] has b = sum_i rho_i * input_i. Tags sort
     below every other term, and no lead is a tag. sizes[i] counts the terms
@@ -382,8 +385,8 @@ class _Basis:
     zero reductions of its run: vectors with only tag terms.
     """
 
-    __slots__ = ("ring", "enc", "rank", "elems", "lpacks", "sizes", "sugars",
-                 "by_pos", "relations")
+    __slots__ = ("ring", "enc", "rank", "elems", "lpacks", "leads", "sizes",
+                 "sugars", "by_pos", "relations")
 
     def __init__(self, enc: _Encoding, rank: int):
         self.ring = enc.ring
@@ -391,6 +394,7 @@ class _Basis:
         self.rank = rank
         self.elems = []
         self.lpacks = []
+        self.leads = []
         self.sizes = []
         self.sugars = []
         self.by_pos = {}
@@ -402,9 +406,11 @@ class _Basis:
         self.elems.append(None)
         self.sizes.append(None)
         pack = v[0][1]
+        pos = pack >> self.enc.pos_bits
         self.lpacks.append(pack)
+        self.leads.append((pos, self.enc.mono(pack)))
         self.sugars.append(sugar)
-        self.by_pos.setdefault(pack >> self.enc.pos_bits, []).append(idx)
+        self.by_pos.setdefault(pos, []).append(idx)
         self.replace(idx, v)
         return idx
 
@@ -417,11 +423,6 @@ class _Basis:
     def is_zero(self, v: list) -> bool:
         """v has no term below the tags; as tags sort last, its lead tells."""
         return not v or v[0][1] >> self.enc.pos_bits >= self.rank
-
-    def lead(self, idx: int) -> tuple:
-        """(pos, exponent tuple) of the lead term of elems[idx]."""
-        pack = self.lpacks[idx]
-        return pack >> self.enc.pos_bits, self.enc.mono(pack)
 
     def nf(self, v, clock: _Clock | None, skip: int = -1,
            sugar: int | None = None):
@@ -503,7 +504,7 @@ def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock) -> list:
     terms whose leads cancel (left out): x^ui and x^uj lift the leads to
     their lcm, and ai = cj/g, aj = ci/g for the lead coefficients ci, cj
     and g = gcd(ci, cj)."""
-    mi, mj = basis.lead(i)[1], basis.lead(j)[1]
+    mi, mj = basis.leads[i][1], basis.leads[j][1]
     lcm = _mono_lcm(mi, mj)
     ci, cj = basis.elems[i][0][2], basis.elems[j][0][2]
     g = gcd(ci, cj)
@@ -520,13 +521,10 @@ def _update_pairs(P: set, basis: _Basis, t: int):
     """Gebauer-Moller update of the pair set for new element t; coprime
     leads skip their pair only in untracked rank 1 (see syzygies)."""
     scalar = basis.rank == 1 and basis.relations is None
-    leads = [basis.lead(i) for i in range(t + 1)]
+    leads = basis.leads
     tpos, tm = leads[t]
-    lcms = {}
-    for i in range(t):
-        ipos, im = leads[i]
-        if ipos == tpos:
-            lcms[i] = _mono_lcm(im, tm)
+    lcms = {i: _mono_lcm(im, tm)
+            for i, (ipos, im) in enumerate(leads[:t]) if ipos == tpos}
     # prune old pairs via the chain criterion
     kept = set()
     for (i, j) in P:
@@ -570,28 +568,38 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
     basis, a remainder with only tags left is a relation among the inputs
     and joins basis.relations. With upto set, the loop stops before the
     first pair whose sugar exceeds it; for elements whose sugar is their
-    degree, the basis is then complete through degree upto.
+    degree, the basis is then complete through degree upto. The ranks sit
+    on a heap, each pushed when its pair is made; a pair update only drops
+    old pairs, so a popped rank whose pair has left the set is skipped.
     """
-    enc, sugars = basis.enc, basis.sugars
+    enc, sugars, leads = basis.enc, basis.sugars, basis.leads
 
     def pair_rank(pair):
         i, j = pair
-        pos, mi = basis.lead(i)
-        mj = basis.lead(j)[1]
+        pos, mi = leads[i]
+        mj = leads[j][1]
         lcm = _mono_lcm(mi, mj)
         d = sum(lcm)
         sugar = max(sugars[i] + d - sum(mi), sugars[j] + d - sum(mj))
         return sugar, enc.term(pos, lcm)[0], j, i
 
-    while pairs:
-        sugar, _key, j, i = min(map(pair_rank, pairs))
+    heap = list(map(pair_rank, pairs))
+    heapify(heap)
+    while heap:
+        sugar, _key, j, i = heappop(heap)
+        if (i, j) not in pairs:
+            continue
         if upto is not None and sugar > upto:
             break
         pairs.discard((i, j))
         r, _sigma, sugar = basis.nf(_s_vector(basis, i, j, clock), clock,
                                     sugar=sugar)
         if not basis.is_zero(r):
-            pairs = _update_pairs(pairs, basis, basis.append(r, sugar))
+            t = basis.append(r, sugar)
+            pairs = _update_pairs(pairs, basis, t)
+            for k in range(t):
+                if (k, t) in pairs:
+                    heappush(heap, pair_rank((k, t)))
         elif r:  # only tags remain, so the basis is tracked
             basis.relations.append(r)
     return pairs
@@ -600,19 +608,12 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
 def _reduce_basis(basis: _Basis, clock: _Clock) -> _Basis:
     """Minimalize, interreduce and sort; the result is the reduced basis,
     each element primitive rather than monic."""
-    n = len(basis.elems)
-    order = sorted(range(n), key=lambda i: (basis.elems[i][0][0], i))
-    leads = [basis.lead(i) for i in range(n)]
+    order = sorted(range(len(basis.elems)), key=lambda i: (basis.elems[i][0][0], i))
+    leads = basis.leads
     kept = []
     for i in order:
         pos, m = leads[i]
-        redundant = False
-        for j in kept:
-            jpos, jm = leads[j]
-            if jpos == pos and _mono_divides(jm, m):
-                redundant = True
-                break
-        if not redundant:
+        if not any(leads[j][0] == pos and _mono_divides(leads[j][1], m) for j in kept):
             kept.append(i)
     out = _Basis(basis.enc, basis.rank)
     out.relations = basis.relations
@@ -634,22 +635,26 @@ def _ring_with_order(ring: RingContext, order) -> RingContext:
 
 def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
     """Reduced basis of the columns of an IdealBasis or ModuleBasis, cached
-    on F: elems sorted by leading term, primitive. Tracked bases carry the
-    tags of the inputs (see _tagged); a remainder with no term below the
-    tags counts as zero, so no lead is ever a tag, and joins the relations,
-    as does the tag of each zero input. The cache keeps them, for a hit
-    has no run to read them from."""
+    on F: elems sorted by leading term, primitive. A tracked one keeps the
+    relations of its run (see _run), as a hit has no run to read them from."""
     ring = _ring_with_order(F.ring, order)
     key = ("gb", ring.order, track)
-    hit = F._cache.get(key)
-    if hit is None and not track:
-        # a tracked basis answers untracked queries too
-        hit = F._cache.get(("gb", ring.order, True))
-    if hit is not None:
-        return hit
-    rank = F.ambient_rank
-    enc = _Encoding(ring)
-    vecs = _vecs_from_columns(F.columns, enc)
+    # a tracked basis answers untracked queries too
+    basis = F._cache.get(key) or (None if track else
+                                  F._cache.get(("gb", ring.order, True)))
+    if basis is None:
+        enc = _Encoding(ring)
+        run = _run(_vecs_from_columns(F.columns, enc), F.ambient_rank, enc, clock, track)
+        basis = F._cache[key] = _reduce_basis(run, clock)
+    return basis
+
+
+def _run(vecs: list, rank: int, enc: _Encoding, clock: _Clock, track: bool) -> _Basis:
+    """Completed, unreduced basis of the (terms, L) vectors vecs in the free
+    module of the given rank. A tracked run carries the tags of the inputs
+    (see _tagged); a remainder with no term below the tags counts as zero,
+    so no lead is ever a tag, and joins the relations, as does the tag of
+    each zero input."""
     basis = _Basis(enc, rank)
     pairs: set = set()
     if track:
@@ -661,8 +666,6 @@ def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
         elif track:  # a zero column: its tag e_i is a relation
             basis.relations.append(v)
     _complete(basis, pairs, clock)
-    basis = _reduce_basis(basis, clock)
-    F._cache[key] = basis
     return basis
 
 
@@ -729,7 +732,7 @@ def _lt_generators(I: IdealBasis, budget: Budget | None = None):
                        if not any(o != m and _mono_divides(o, m) for o in terms))
     else:
         basis = _gb(I, _basis_clock(I, budget))
-        monos = sorted(basis.lead(i)[1] for i in range(len(basis.elems)))
+        monos = sorted(m for _pos, m in basis.leads)
     if any(sum(m) == 0 for m in monos):
         return None
     return monos
@@ -870,27 +873,33 @@ def ideal_equal(A: IdealBasis, B: IdealBasis, budget: Budget | None = None) -> b
     return ideal_contains(A, B, budget=budget) and ideal_contains(B, A, budget=budget)
 
 
-def _prune(candidates, rank: int, enc: _Encoding, clock: _Clock) -> list:
-    """Positions in candidates of a minimal generating subset, kept greedily.
+def _degree(v: list, grading, enc: _Encoding) -> int:
+    """Degree of a nonzero homogeneous engine vector, read off its lead."""
+    return sum(enc.mono(v[0][1])) + grading[v[0][1] >> enc.pos_bits]
 
-    candidates are nonzero homogeneous engine vectors of a graded free
-    module of the given rank, as (degree, terms) pairs in ascending
-    (degree, input index) order. One incremental completion runs for the
-    whole call, on elements whose sugar is their degree. Before a candidate
-    of degree d is tested, the basis of the kept candidates is completed
-    through degree d; for homogeneous input that truncated basis decides
-    membership in degree d. A candidate is kept when its normal form is
-    nonzero, and that normal form joins the basis.
+
+def _prune(vectors: list, rank: int, grading, enc: _Encoding, clock: _Clock) -> list:
+    """Indices in vectors of a minimal generating subset, kept greedily.
+
+    vectors are nonzero homogeneous engine vectors of the free module of
+    the given rank, its positions of the shifts grading; they are tested in
+    ascending (degree, index) order. One incremental completion runs for
+    the whole call, on elements whose sugar is their degree. Before a
+    vector of degree d is tested, the basis of the kept vectors is
+    completed through degree d; for homogeneous input that truncated basis
+    decides membership in degree d. A vector is kept when its normal form
+    is nonzero, and that normal form joins the basis.
     """
+    degrees = [_degree(v, grading, enc) for v in vectors]
     basis = _Basis(enc, rank)
     pairs: set = set()
     kept = []
-    for k, (d, v) in enumerate(candidates):
-        pairs = _complete(basis, pairs, clock, upto=d)
-        r = basis.nf(v, clock)[0]
+    for k in sorted(range(len(vectors)), key=lambda k: (degrees[k], k)):
+        pairs = _complete(basis, pairs, clock, upto=degrees[k])
+        r = basis.nf(vectors[k], clock)[0]
         if r:
             kept.append(k)
-            pairs = _update_pairs(pairs, basis, basis.append(r, d))
+            pairs = _update_pairs(pairs, basis, basis.append(r, degrees[k]))
     return kept
 
 
@@ -899,13 +908,11 @@ def _minimal_indices(F, label: str, budget: Budget | None) -> list:
     IdealBasis or a graded ModuleBasis, pruned in ascending (degree,
     index) order; zero columns are dropped."""
     columns = F.columns
-    degs = [vector_degree(v, F.grading) for v in columns]
-    order = sorted((i for i, d in enumerate(degs) if d is not None),
-                   key=lambda i: (degs[i], i))
+    order = [i for i, v in enumerate(columns) if vector_degree(v, F.grading) is not None]
     enc = _Encoding(F.ring)
     vecs = _vecs_from_columns([columns[i] for i in order], enc)
-    kept = _prune([(degs[i], v) for i, (v, _l) in zip(order, vecs)],
-                  F.ambient_rank, enc, _Clock(budget, label))
+    kept = _prune([v for v, _l in vecs], F.ambient_rank, F.grading, enc,
+                  _Clock(budget, label))
     return [order[k] for k in kept]
 
 
@@ -985,19 +992,25 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     if n == 0:
         raise ValueError("no generators")
     tracked = _gb(F, _Clock(budget, "syzygies"), track=True)
-    enc, rank = tracked.enc, tracked.rank
+    cols = [_terms_to_polys(v, n, tracked.enc, v[0][2])
+            for v in _syzygy_vectors(tracked)]
+    return ModuleBasis(n, cols, ring=F.ring, grading=grading)
+
+
+def _syzygy_vectors(tracked: _Basis) -> list:
+    """The distinct relations of a tracked run as primitive vectors in the
+    free module of its inputs, sorted by (degree, lead, support)."""
+    enc = tracked.enc
     out = {}
     for r in tracked.relations:
-        v = _primitive(_tag_part(r, rank, enc))[0]
+        v = _primitive(_tag_part(r, tracked.rank, enc))[0]
         out.setdefault(tuple(v), v)
 
     def syz_rank(v):
         support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
         return (max(sum(m) for _pos, m in support), v[0][0], support)
 
-    cols = [_terms_to_polys(v, n, enc, v[0][2])
-            for v in sorted(out.values(), key=syz_rank)]
-    return ModuleBasis(n, cols, ring=F.ring, grading=grading)
+    return sorted(out.values(), key=syz_rank)
 
 
 def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> ModuleBasis:
@@ -1024,6 +1037,12 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
     syzygy step's tracked run and the greedy prune. The result is exact at
     every computed module except possibly the leftmost one when the loop
     stops at max_length; rerun with a larger bound to certify the tail.
+
+    Levels stay engine vectors: the prune takes the sorted primitive
+    relations of the tracked run on a level's inputs, as syzygies() reads
+    them but with no reduced basis, and its kept vectors v, tagged by
+    lc(v) as their monic columns would be, are the next level's inputs.
+    Only they become Polynomials, once, for the maps.
     """
     _require_homogeneous(I)
     ring = I.ring
@@ -1040,19 +1059,18 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
         raise UnitIdealError("unit ideal has no graded resolution")
     shifts = [tuple(g.degree() for g in gens)]
     maps = [PolyMatrix(ring, [list(gens)], row_shifts=(0,), col_shifts=shifts[0])]
-    current = ModuleBasis(1, [(g,) for g in gens], ring=ring, grading=(0,))
+    enc = _Encoding(ring)
+    inputs = _vecs_from_columns([(g,) for g in gens], enc)
     while len(maps) < max_length:
-        # syzygies grades its output by the degrees of current's columns,
-        # which are shifts[-1]
-        syz = syzygies(current, budget=remaining())
-        syz = module_minimal_generators(syz, budget=remaining())
-        if not syz.generators:
+        rows = shifts[-1]
+        syz = _syzygy_vectors(_run(inputs, maps[-1].rows, enc,
+                                   _Clock(remaining(), "syzygies"), True))
+        kept = [syz[k] for k in _prune(syz, len(rows), rows, enc,
+                                       _Clock(remaining(), "minimal module generators"))]
+        if not kept:
             break
-        col_shifts = tuple(vector_degree(v, shifts[-1]) for v in syz.generators)
-        entries = [[syz.generators[j][i] for j in range(len(syz.generators))]
-                   for i in range(syz.ambient_rank)]
-        maps.append(PolyMatrix(ring, entries, row_shifts=shifts[-1],
-                               col_shifts=col_shifts))
-        shifts.append(col_shifts)
-        current = syz
+        cols = [_terms_to_polys(v, len(rows), enc, v[0][2]) for v in kept]
+        shifts.append(tuple(_degree(v, rows, enc) for v in kept))
+        maps.append(PolyMatrix(ring, zip(*cols), row_shifts=rows, col_shifts=shifts[-1]))
+        inputs = [(v, v[0][2]) for v in kept]
     return GradedResolution(ring, maps, shifts, minimal=True)

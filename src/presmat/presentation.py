@@ -134,14 +134,15 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     if M.rows < 2:  # a zero row has that rank, and g = (1,)
         raise ValueError("gamma needs at least two rows")
     point = _evaluation_point(M.ring)
-    at_point = M.map_entries(lambda p: M.ring.constant(p.evaluate(point)))
+    at_point = [[p.evaluate(point) for p in row] for row in M.entries]
     chosen = []
     for j in range(M.cols):
         cols = chosen + [j]
         # full rank at a point proves full rank over R; otherwise the
         # columns are independent exactly when they have no syzygy
         if len(chosen) < M.rows - 1 and (
-                rank(at_point.submatrix(range(M.rows), cols)) == len(cols)
+                len(value_left_kernel([[row[c] for c in cols] for row in at_point])[0])
+                == len(cols)
                 or not syzygies(column_module(M.submatrix(range(M.rows), cols)),
                                 budget=budget).generators):
             chosen.append(j)

@@ -1,7 +1,9 @@
 """Groebner engine tests: bases, membership, invariants, syzygies, resolutions."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
@@ -45,6 +47,7 @@ from presmat.ring import gcd as ring_gcd
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
+X0123 = RingContext(("x0", "x1", "x2", "x3"))
 
 
 def ideal(ring, *texts):
@@ -413,9 +416,9 @@ def all_pairs_syzygies(F):
     rels = []
     for i in range(len(tracked.elems)):
         for j in range(i + 1, len(tracked.elems)):
-            if tracked.lead(i)[0] != tracked.lead(j)[0]:
+            if tracked.leads[i][0] != tracked.leads[j][0]:
                 continue
-            mi, mj = tracked.lead(i)[1], tracked.lead(j)[1]
+            mi, mj = tracked.leads[i][1], tracked.leads[j][1]
             lcm = tuple(map(max, mi, mj))
             ui = tuple(a - b for a, b in zip(lcm, mi))
             uj = tuple(a - b for a, b in zip(lcm, mj))
@@ -712,6 +715,168 @@ def test_resolution_rejects_inhomogeneous_and_unit():
         minimal_free_resolution(ideal(XYZ, "1"))
 
 
+def composed_resolution(I, max_length):
+    """Reference resolution composed from the public steps: per level,
+    syzygies() of the last module's columns, then module_minimal_generators,
+    each taking Polynomials in and giving Polynomials out. Returns the map
+    entries as text, and the shifts."""
+    gens = minimal_generators(I).generators
+    shifts = [tuple(g.degree() for g in gens)]
+    maps = [PolyMatrix(I.ring, [list(gens)])]
+    current = ModuleBasis(1, [(g,) for g in gens], ring=I.ring, grading=(0,))
+    while len(maps) < max_length:
+        syz = module_minimal_generators(syzygies(current))
+        if not syz.generators:
+            break
+        shifts.append(tuple(vector_degree(v, shifts[-1]) for v in syz.generators))
+        maps.append(PolyMatrix(I.ring, zip(*syz.generators)))
+        current = syz
+    return [[[str(p) for p in row] for row in m.entries] for m in maps], shifts
+
+
+def fixture_ideal(name):
+    doc = json.loads(resources.files("presmat").joinpath(f"fixtures/{name}.json")
+                     .read_text())
+    ring = RingContext(tuple(doc["ring"]["vars"]))
+    return IdealBasis([parse(g, ring) for g in doc["ideal"]], ring=ring)
+
+
+# seeded dense quadrics and cubics in three and four variables, the dense
+# (2,2,2,2) and (2,2,2,3) in four, and the cyclic fixtures of the paper
+ORACLE_IDEALS = {
+    **{f"xyz-{''.join(map(str, d))}-{seed}": (lambda d=d, seed=seed:
+                                               dense_ideal(seed, XYZ, d))
+       for d in ((2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 3, 3),
+                 (3, 3, 3), (3, 3, 3, 3))
+       for seed in (21, 22)},
+    **{f"x0123-{''.join(map(str, d))}-{seed}": (lambda d=d, seed=seed:
+                                                 dense_ideal(seed, X0123, d))
+       for d, seed in (((2, 2, 2), 21), ((2, 2, 3), 21), ((2, 2, 2, 2), 1),
+                       ((2, 2, 2, 3), 1))},
+    "cyclic-cubics": lambda: fixture_ideal("cyclic-cubics"),
+    "cyclic-quartics": lambda: fixture_ideal("cyclic-quartics"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_IDEALS))
+def test_resolution_matches_the_composed_steps(name):
+    I = ORACLE_IDEALS[name]()
+    res = minimal_free_resolution(I, max_length=I.ring.nvars)
+    got = [[[str(p) for p in row] for row in m.entries] for m in res.maps]
+    assert (got, list(res.shifts)) == composed_resolution(I, I.ring.nvars)
+
+
+def test_a_tight_budget_stops_the_resolution_in_its_syzygy_step(monkeypatch):
+    # each step has its own monomial cap: a cap that the minimal generators
+    # fit under and the first syzygy run does not stops the call there
+    work = {}
+    tick = engine._Clock.tick
+
+    def counting_tick(self, amount):
+        tick(self, amount)
+        work.setdefault(self.label, []).append(self.work)
+
+    def fresh():
+        return dense_ideal(21, XYZ, (2, 2, 2, 2))
+
+    monkeypatch.setattr(engine._Clock, "tick", counting_tick)
+    minimal_generators(fresh())
+    cap = max(work["minimal generators"])
+    work.clear()
+    minimal_free_resolution(fresh())
+    assert max(work["syzygies"]) > cap
+    monkeypatch.setattr(engine._Clock, "tick", tick)
+    with pytest.raises(BudgetExceeded, match="^syzygies: monomial budget exceeded"):
+        minimal_free_resolution(fresh(), budget=Budget(max_monomials=cap))
+
+
+def min_scan_complete(basis, pairs, clock, upto=None):
+    """Reference for the pair order of _complete: at every step, a scan of
+    the live pairs for the least (sugar, lcm key, j, i)."""
+    enc, sugars, leads = basis.enc, basis.sugars, basis.leads
+
+    def pair_rank(pair):
+        i, j = pair
+        pos, mi = leads[i]
+        mj = leads[j][1]
+        lcm = tuple(map(max, mi, mj))
+        d = sum(lcm)
+        sugar = max(sugars[i] + d - sum(mi), sugars[j] + d - sum(mj))
+        return sugar, enc.term(pos, lcm)[0], j, i
+
+    while pairs:
+        sugar, _key, j, i = min(map(pair_rank, pairs))
+        if upto is not None and sugar > upto:
+            break
+        pairs.discard((i, j))
+        r, _sigma, sugar = basis.nf(engine._s_vector(basis, i, j, clock), clock,
+                                    sugar=sugar)
+        if not basis.is_zero(r):
+            pairs = engine._update_pairs(pairs, basis, basis.append(r, sugar))
+        elif r:
+            basis.relations.append(r)
+    return pairs
+
+
+# every kind of completion run: tracked or not, of rank 1 or more, to the
+# end or truncated at the degree of a candidate (the prunes). The seeded
+# cases are ones whose runs drop pairs that were already ranked.
+PAIR_ORDER_RUNS = {
+    "untracked-rank-1": lambda: groebner_basis(
+        seeded_cases(random.Random(6), 6)[4]).generators,
+    "tracked-rank-1": lambda: syzygies(seeded_cases(random.Random(6), 6)[4]).generators,
+    "untracked-rank-2": lambda: groebner_basis(
+        seeded_cases(random.Random(13), 2)[1]).generators,
+    "tracked-rank-2": lambda: syzygies(seeded_cases(random.Random(13), 2)[1]).generators,
+    "truncated-rank-1": lambda: minimal_generators(
+        dense_ideal(33, X0123, (2, 2, 2, 2, 3, 3, 4))).generators,
+    "truncated-rank-4": lambda: module_minimal_generators(
+        syzygies(dense_ideal(34, XYZ, (2, 2, 2, 2)))).generators,
+    "resolution": lambda: [m.entries for m in minimal_free_resolution(
+        dense_ideal(3, XYZ, (2, 3, 3))).maps],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_ORDER_RUNS))
+def test_the_pair_heap_reduces_the_pairs_of_the_min_scan(monkeypatch, name):
+    def s_pairs(complete):
+        """With complete as the loop: the (i, j) of every S-vector built,
+        the count of pairs that each completion left, the count of old
+        pairs that each pair update dropped, and the answer."""
+        seen, left, dropped = [], [], []
+        s_vector, update_pairs = engine._s_vector, engine._update_pairs
+
+        def spy(basis, i, j, clock):
+            seen.append((i, j))
+            return s_vector(basis, i, j, clock)
+
+        def counted(basis, pairs, clock, upto=None):
+            pairs = complete(basis, pairs, clock, upto)
+            left.append(len(pairs))
+            return pairs
+
+        def update(pairs, basis, t):
+            kept = update_pairs(pairs, basis, t)
+            dropped.append(len(pairs - kept))
+            return kept
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_s_vector", spy)
+            m.setattr(engine, "_complete", counted)
+            m.setattr(engine, "_update_pairs", update)
+            answer = PAIR_ORDER_RUNS[name]()
+        return seen, left, dropped, answer
+
+    heap = s_pairs(engine._complete)
+    assert heap == s_pairs(min_scan_complete)
+    seen, left, dropped, _answer = heap
+    assert len(seen) >= 5
+    # a truncated completion stops with pairs still pending
+    assert any(left) == (name.startswith("truncated") or name == "resolution")
+    if not name.startswith("truncated"):
+        assert any(dropped)
+
+
 # -- budgets and misc ------------------------------------------------------------
 
 
@@ -899,7 +1064,7 @@ def check_nf_identity(basis, v, rank, columns):
     lhs = [p * sigma + combine(t, inputs[pos], ring)
            for pos, p in enumerate(engine._terms_to_polys(v, rank, enc))]
     assert lhs == list(engine._terms_to_polys(r, rank, enc))
-    leads = list(map(basis.lead, range(len(basis.elems))))
+    leads = [(e[0][1] >> enc.pos_bits, enc.mono(e[0][1])) for e in basis.elems]
     assert all(lp < rank for lp, _lm in leads)
     for _k, pack, _c in r:
         pos, m = pack >> enc.pos_bits, enc.mono(pack)

@@ -745,6 +745,19 @@ def test_report_annihilators_match_gamma():
     assert any(s != tuple(range(len(s))) for s in subsets)
 
 
+def test_gamma_ranks_its_candidate_columns_on_numbers(monkeypatch):
+    # the rank at the point comes from one elimination of the evaluated
+    # numbers per candidate column; the polynomial rank never runs
+    ranked = []
+    monkeypatch.setattr(presentation, "rank", ranked.append)
+    rng = random.Random(17)
+    for _ in range(30):
+        M = sparse_dependency(rng, rng.randint(2, 5))
+        g = gamma(M)
+        assert (g.components, g.column_subset) == elimination_gamma(M)
+    assert ranked == []
+
+
 def test_report_annihilators_match_gamma_on_sweep(sweep_matrices):
     for M in sweep_matrices:
         assert_report_matches_gamma(M)
