@@ -28,7 +28,8 @@ to zero (Schreyer; Moller-Mora); so a tracked run keeps the coprime-lead
 of ideals and graded modules come from one incremental completion per
 call, truncated at the degree of the candidate under test. A resolution
 passes from one level to the next as primitive engine vectors, not
-Polynomials (La Scala-Stillman).
+Polynomials (La Scala-Stillman); that of a complete intersection is its
+Koszul complex, built after one height test.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, gcd, inf, lcm
 from operator import add, sub
 from struct import Struct
@@ -1005,12 +1006,12 @@ def _syzygy_vectors(tracked: _Basis) -> list:
     for r in tracked.relations:
         v = _primitive(_tag_part(r, tracked.rank, enc))[0]
         out.setdefault(tuple(v), v)
+    return sorted(out.values(), key=lambda v: _syz_rank(v, enc))
 
-    def syz_rank(v):
-        support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
-        return (max(sum(m) for _pos, m in support), v[0][0], support)
 
-    return sorted(out.values(), key=syz_rank)
+def _syz_rank(v: list, enc: _Encoding):  # (degree of its terms, lead, support)
+    support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
+    return (max(sum(m) for _pos, m in support), v[0][0], support)
 
 
 def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> ModuleBasis:
@@ -1028,21 +1029,17 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
                             budget: Budget | None = None) -> GradedResolution:
     """Minimal graded free resolution of R/I, up to max_length maps.
 
-    Built by iterated syzygies with minimal-generator pruning at every
-    step. Every map then has its entries in the maximal ideal: a syzygy
-    of a minimal homogeneous generating set with a nonzero constant entry
-    would make that generator redundant (graded Nakayama). The shifts are
-    the graded Betti numbers and do not depend on the generators chosen;
-    the maps are one valid choice, fixed by the zero reductions of each
-    syzygy step's tracked run and the greedy prune. The result is exact at
-    every computed module except possibly the leftmost one when the loop
-    stops at max_length; rerun with a larger bound to certify the tail.
-
-    Levels stay engine vectors: the prune takes the sorted primitive
-    relations of the tracked run on a level's inputs, as syzygies() reads
-    them but with no reduced basis, and its kept vectors v, tagged by
-    lc(v) as their monic columns would be, are the next level's inputs.
-    Only they become Polynomials, once, for the maps.
+    The first map is a minimal homogeneous generating set f_1..f_r of I.
+    When r <= nvars and height I = r (exact: the height of in(I), from a
+    Groebner basis under the seconds that remain), the f_i are a regular
+    sequence, resolved by their Koszul complex (Eisenbud, Commutative
+    Algebra, Cor. 17.5): map k sends e_S to sum_j (-1)^j f_{s_j} e_{S - s_j}
+    over the k-subsets S, each column monic, the rows rescaled to match, the
+    columns sorted as the other route sorts them. Otherwise the maps are the
+    iterated syzygies of tracked runs, pruned greedily to minimal generators.
+    Either way the shifts are the graded Betti numbers, every entry lies in
+    the maximal ideal, and the result is exact at every computed module but
+    possibly the leftmost one when the call stops at max_length.
     """
     _require_homogeneous(I)
     ring = I.ring
@@ -1057,10 +1054,49 @@ def minimal_free_resolution(I: IdealBasis, max_length: int = 3,
         return GradedResolution(ring, (), (), minimal=True)
     if any(g.is_unit() for g in gens):
         raise UnitIdealError("unit ideal has no graded resolution")
-    shifts = [tuple(g.degree() for g in gens)]
-    maps = [PolyMatrix(ring, [list(gens)], row_shifts=(0,), col_shifts=shifts[0])]
+    if len(gens) <= ring.nvars and height(IdealBasis(gens), remaining()) == len(gens):
+        return _koszul_resolution(gens, max_length)
+    return _resolve_by_syzygies(gens, max_length, remaining)
+
+
+def _koszul_resolution(gens, max_length: int) -> GradedResolution:
+    """The Koszul complex of the regular sequence gens, up to max_length maps:
+    column T is w_T / lc(w_T), w_T the image of e_T in the columns before it
+    (w = f on gens), so w_S = sum_j (-1)^j lc(w_T) f_{s_j} e_T, T = S - s_j."""
+    ring = gens[0].ring
     enc = _Encoding(ring)
     inputs = _vecs_from_columns([(g,) for g in gens], enc)
+    shifts = [tuple(g.degree() for g in gens)]
+    maps = [PolyMatrix(ring, [list(gens)], row_shifts=(0,), col_shifts=shifts[0])]
+    level = {(i,): (i, 1) for i in range(len(gens))}  # S: (position, lc(w_S))
+    for k in range(2, min(max_length, len(gens)) + 1):
+        rows, built = shifts[-1], []
+        for S in combinations(range(len(gens)), k):
+            parts = []
+            for j, s in enumerate(S):
+                p, lc = level[S[:j] + S[j + 1:]]
+                parts.append((p, s, Fraction((-1) ** j * lc) / inputs[s][1]))
+            v = sorted(((key - p * enc.pos_key, pack + (p << enc.pos_bits), c * q)
+                        for p, s, q in parts for key, pack, c in inputs[s][0]), reverse=True)
+            built.append((_degree(v, rows, enc), _syz_rank(v, enc), v, S))
+        built.sort(key=lambda b: b[:2])
+        cols = [_terms_to_polys(v, len(rows), enc, v[0][2]) for _d, _r, v, _S in built]
+        shifts.append(tuple(b[0] for b in built))
+        maps.append(PolyMatrix(ring, zip(*cols), row_shifts=rows, col_shifts=shifts[-1]))
+        level = {S: (p, v[0][2]) for p, (_d, _r, v, S) in enumerate(built)}
+    return GradedResolution(ring, maps, shifts, minimal=True)
+
+
+def _resolve_by_syzygies(gens, max_length: int, remaining) -> GradedResolution:
+    """The resolution on the minimal generators gens by iterated syzygies,
+    each step under the budget remaining() gives it: the pruned relations v
+    of each tracked run, tagged by lc(v) as their monic columns, are the next
+    level's inputs, and become Polynomials only for the maps."""
+    ring = gens[0].ring
+    enc = _Encoding(ring)
+    inputs = _vecs_from_columns([(g,) for g in gens], enc)
+    shifts = [tuple(g.degree() for g in gens)]
+    maps = [PolyMatrix(ring, [list(gens)], row_shifts=(0,), col_shifts=shifts[0])]
     while len(maps) < max_length:
         rows = shifts[-1]
         syz = _syzygy_vectors(_run(inputs, maps[-1].rows, enc,

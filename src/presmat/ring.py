@@ -380,6 +380,8 @@ class _Parser:
     """Recursive descent for:  expr := term (('+'|'-') term)*
     term := factor ('*' factor)*;  factor := ('-'|'+')* atom ('^' int)?
     atom := int ('/' int)? | name | '(' expr ')'
+    A term of numbers and variable powers is one monomial and one Fraction;
+    only parenthesized factors take Polynomial arithmetic.
     """
 
     def __init__(self, text: str, ring: RingContext):
@@ -395,10 +397,13 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at(self, ops: str) -> bool:  # the next token is one of the operators ops
+        kind, val, _ = self.peek()
+        return kind == "op" and val in ops
+
     def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if not self.at(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
         return self.take()
 
     def parse(self) -> Polynomial:
@@ -409,66 +414,69 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        p = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                p = p * self.factor()
-            else:
-                return p
-
-    def factor(self) -> Polynomial:
+        terms: dict = {}
         sign = 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                if val == "-":
-                    sign = -sign
+            for m, c in self.term().items():
+                terms[m] = terms.get(m, 0) + sign * c
+            if not self.at("+-"):
+                return Polynomial(self.ring, terms)
+            sign = 1 if self.take()[1] == "+" else -1
+
+    def term(self) -> dict:
+        exps = [0] * self.ring.nvars
+        coeff, poly = Fraction(1), None
+        while True:
+            f = self.factor()
+            if isinstance(f, Polynomial):
+                poly = f if poly is None else poly * f
             else:
+                c, index, e = f
+                coeff *= c
+                if index is not None:
+                    exps[index] += e
+            if not self.at("*"):
                 break
-        p = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
             self.take()
-            kind, val, pos = self.peek()
+        if poly is None:
+            return {tuple(exps): coeff}
+        return (poly * Polynomial(self.ring, {tuple(exps): coeff})).terms
+
+    def factor(self):  # (coefficient, variable index or None, exponent) or a Polynomial
+        sign = 1
+        while self.at("+-"):
+            if self.take()[1] == "-":
+                sign = -sign
+        atom = self.atom()
+        e = 1
+        if self.at("^"):
+            self.take()
+            kind, val, pos = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            self.take()
-            p = p ** int(val)
-        return p if sign == 1 else -p
+            e = int(val)
+        if isinstance(atom, Polynomial):
+            atom = atom ** e
+            return atom if sign == 1 else -atom
+        c, index = atom
+        return sign * c ** e, index, e
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         kind, val, pos = self.take()
         if kind == "num":
-            value = Fraction(int(val))
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.take()
-                kind3, val3, pos3 = self.peek()
-                if kind3 != "num":
-                    raise ParseError("denominator must be an integer", pos3)
-                self.take()
-                if int(val3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                value = Fraction(int(val), int(val3))
-            return self.ring.constant(value)
+            if not self.at("/"):
+                return Fraction(int(val)), None
+            self.take()
+            kind, den, pos = self.take()
+            if kind != "num":
+                raise ParseError("denominator must be an integer", pos)
+            if int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            return Fraction(int(val), int(den)), None
         if kind == "name":
             if val not in self.ring._index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return self.ring.variable(val)
+            return Fraction(1), self.ring._index[val]
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")

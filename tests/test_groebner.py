@@ -10,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from conftest import random_form, random_poly
-from koszul_oracle import KoszulOracle, assert_koszul_agrees
+from koszul_oracle import KoszulOracle, assert_koszul_agrees, resolution_betti
 from presmat import (
     Budget,
     BudgetExceeded,
@@ -718,8 +718,8 @@ def test_resolution_rejects_inhomogeneous_and_unit():
 def composed_resolution(I, max_length):
     """Reference resolution composed from the public steps: per level,
     syzygies() of the last module's columns, then module_minimal_generators,
-    each taking Polynomials in and giving Polynomials out. Returns the map
-    entries as text, and the shifts."""
+    each taking Polynomials in and giving Polynomials out. Returns the maps
+    and the shifts."""
     gens = minimal_generators(I).generators
     shifts = [tuple(g.degree() for g in gens)]
     maps = [PolyMatrix(I.ring, [list(gens)])]
@@ -731,7 +731,52 @@ def composed_resolution(I, max_length):
         shifts.append(tuple(vector_degree(v, shifts[-1]) for v in syz.generators))
         maps.append(PolyMatrix(I.ring, zip(*syz.generators)))
         current = syz
-    return [[[str(p) for p in row] for row in m.entries] for m in maps], shifts
+    return maps, shifts
+
+
+def as_text(maps, shifts):
+    """The map entries as text, and the shifts as a list."""
+    return [[[str(p) for p in row] for row in m.entries] for m in maps], list(shifts)
+
+
+def koszul_complex(gens, max_length):
+    """The Koszul complex of gens as the resolution route builds it, from
+    Polynomials alone: column S of map k is w_S = sum_j (-1)^j f_{s_j} *
+    mu_T e_T, T = S - s_j, over its lead coefficient mu_S (mu = 1 on the
+    generators), so that it maps to a multiple of the Koszul image of e_S.
+    Columns sorted by degree, then the degree of their terms, then the lead
+    (lowest position first, the ring order within it; ascending), then the
+    sorted (position, exponents) support. Returns the maps and shifts."""
+    ring = gens[0].ring
+    shifts = [tuple(g.degree() for g in gens)]
+    maps = [PolyMatrix(ring, [list(gens)])]
+    level = [((i,), Fraction(1)) for i in range(len(gens))]
+    while len(maps) < min(max_length, len(gens)):
+        where = {S: (p, mu) for p, (S, mu) in enumerate(level)}
+        columns = []
+        for S in combinations(range(len(gens)), len(level[0][0]) + 1):
+            w = [ring.zero()] * len(level)
+            for j, s in enumerate(S):
+                p, mu = where[S[:j] + S[j + 1:]]
+                w[p] = gens[s] * ((-1) ** j * mu)
+            lead = next(p for p, entry in enumerate(w) if entry)
+            mono = w[lead].lead_monomial()
+            support = sorted((p, m) for p, entry in enumerate(w) for m in entry.terms)
+            rank = (shifts[-1][lead] + sum(mono), max(sum(m) for _p, m in support),
+                    -lead, ring.key(mono), support)
+            mu = w[lead].terms[mono]
+            columns.append((rank, [entry * (1 / mu) for entry in w], S, mu))
+        columns.sort(key=lambda c: c[0])
+        shifts.append(tuple(rank[0] for rank, *_rest in columns))
+        maps.append(PolyMatrix(ring, zip(*[w for _rank, w, _S, _mu in columns])))
+        level = [(S, mu) for _rank, _w, S, mu in columns]
+    return maps, shifts
+
+
+def resolve_by_syzygies(I, max_length):
+    """The syzygy route of minimal_free_resolution, whatever I is."""
+    return engine._resolve_by_syzygies(minimal_generators(I).generators, max_length,
+                                       lambda: Budget())
 
 
 def fixture_ideal(name):
@@ -761,9 +806,94 @@ ORACLE_IDEALS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_IDEALS))
 def test_resolution_matches_the_composed_steps(name):
     I = ORACLE_IDEALS[name]()
-    res = minimal_free_resolution(I, max_length=I.ring.nvars)
-    got = [[[str(p) for p in row] for row in m.entries] for m in res.maps]
-    assert (got, list(res.shifts)) == composed_resolution(I, I.ring.nvars)
+    n = I.ring.nvars
+    oracle = composed_resolution(I, n)
+    loop = resolve_by_syzygies(I, n)
+    assert as_text(loop.maps, loop.shifts) == as_text(*oracle)
+    res = minimal_free_resolution(I, max_length=n)
+    if height(I) < len(I.generators):
+        assert as_text(res.maps, res.shifts) == as_text(*oracle)
+        return
+    # a complete intersection, resolved by its Koszul complex
+    assert as_text(res.maps, res.shifts) == as_text(*koszul_complex(I.generators, n))
+    assert list(res.shifts) == oracle[1]
+    ours, theirs = (ModuleBasis(len(m.entries), zip(*m.entries), ring=I.ring)
+                    for m in (res.maps[1], oracle[0][1]))
+    assert module_contains(ours, theirs) and module_contains(theirs, ours)
+    assert res.validate()
+    if len(I.generators) == n:
+        assert_koszul_agrees(I, res)
+    else:  # not m-primary: the oracle needs a top degree, here the last shift
+        top = sum(res.shifts[0])
+        assert resolution_betti(res) == KoszulOracle(I.generators, n).betti(top)
+
+
+def test_an_ideal_of_smaller_height_takes_the_syzygy_route(monkeypatch):
+    # three generators of height 2: not a complete intersection
+    I = ideal(XYZ, "x*y", "x*z", "y*z")
+    calls = []
+    loop = engine._resolve_by_syzygies
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(engine, "_resolve_by_syzygies", spy)
+    assert height(I) == 2
+    res = minimal_free_resolution(I)
+    assert len(calls) == 1
+    assert as_text(res.maps, res.shifts) == as_text(*composed_resolution(I, 3))
+    assert res.shifts == ((2, 2, 2), (3, 3))
+
+
+def test_a_principal_ideal_is_its_own_resolution(monkeypatch):
+    monkeypatch.setattr(engine, "_resolve_by_syzygies", None)
+    I = ideal(XYZ, "x^2 + 2*y*z")
+    res = minimal_free_resolution(I)
+    assert as_text(res.maps, res.shifts) == ([[["x^2 + 2*y*z"]]], [(2,)])
+    monkeypatch.undo()
+    assert as_text(res.maps, res.shifts) == as_text(*composed_resolution(I, 3))
+
+
+def test_max_length_truncates_the_koszul_complex():
+    I = dense_ideal(1, X0123, (2, 2, 2, 2))
+    res = minimal_free_resolution(I, max_length=2)
+    assert res.shifts == ((2, 2, 2, 2), (4,) * 6)
+    assert as_text(res.maps, res.shifts) == as_text(*koszul_complex(I.generators, 2))
+    full = minimal_free_resolution(I, max_length=4)
+    assert res.maps == full.maps[:2]
+    assert res.validate()
+
+
+def test_a_tight_budget_stops_the_height_test(monkeypatch):
+    # the minimal generators fit under the monomial cap and the basis that
+    # decides the height does not: the call raises, with no partial complex
+    work = {}
+    tick = engine._Clock.tick
+
+    def counting_tick(self, amount):
+        tick(self, amount)
+        work.setdefault(self.label, []).append(self.work)
+
+    def fresh():
+        return dense_ideal(21, X0123, (2, 2, 2, 2))
+
+    monkeypatch.setattr(engine._Clock, "tick", counting_tick)
+    minimal_free_resolution(fresh(), max_length=4)
+    cap = max(work["minimal generators"])
+    assert max(work["groebner basis"]) > cap
+    monkeypatch.setattr(engine._Clock, "tick", tick)
+    with pytest.raises(BudgetExceeded, match="^groebner basis: monomial budget exceeded"):
+        minimal_free_resolution(fresh(), max_length=4, budget=Budget(max_monomials=cap))
+
+
+def test_a_dense_complete_intersection_in_four_variables_resolves_in_budget():
+    # the syzygy route takes seconds on this ideal; the Koszul route does not
+    I = dense_ideal(2, X0123, (2, 2, 2, 3))
+    res = minimal_free_resolution(I, max_length=4, budget=Budget(seconds=5))
+    assert res.shifts == ((2, 2, 2, 3), (4, 4, 4, 5, 5, 5), (6, 7, 7, 7), (9,))
+    assert as_text(res.maps, res.shifts) == as_text(*koszul_complex(I.generators, 4))
+    assert res.validate()
 
 
 def test_a_tight_budget_stops_the_resolution_in_its_syzygy_step(monkeypatch):
@@ -832,8 +962,8 @@ PAIR_ORDER_RUNS = {
         dense_ideal(33, X0123, (2, 2, 2, 2, 3, 3, 4))).generators,
     "truncated-rank-4": lambda: module_minimal_generators(
         syzygies(dense_ideal(34, XYZ, (2, 2, 2, 2)))).generators,
-    "resolution": lambda: [m.entries for m in minimal_free_resolution(
-        dense_ideal(3, XYZ, (2, 3, 3))).maps],
+    "resolution": lambda: [m.entries for m in resolve_by_syzygies(
+        dense_ideal(3, XYZ, (2, 3, 3)), 3).maps],
 }
 
 

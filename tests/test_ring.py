@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from presmat.ring import (
     gcd,
     parse,
 )
+from presmat.ring import _tokenize
 
 XYZ = RingContext(["x", "y", "z"])
 
@@ -78,6 +82,205 @@ def test_parse_errors_carry_position():
         parse("3/0", XYZ)
     with pytest.raises(ParseError):
         parse("x +", XYZ)
+
+
+class ArithmeticParser:
+    """Reference parser for the same grammar that builds every factor as a
+    Polynomial and combines them with Polynomial *, ** and +."""
+
+    def __init__(self, text, ring):
+        self.tokens = _tokenize(text)
+        self.ring = ring
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val, pos = self.peek()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos)
+        return self.take()
+
+    def parse(self):
+        p = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {val!r}", pos)
+        return p
+
+    def expr(self):
+        p = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                q = self.term()
+                p = p + q if val == "+" else p - q
+            else:
+                return p
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                p = p * self.factor()
+            else:
+                return p
+
+    def factor(self):
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        p = self.atom()
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            kind, val, pos = self.peek()
+            if kind != "num":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            self.take()
+            p = p ** int(val)
+        return p if sign == 1 else -p
+
+    def atom(self):
+        kind, val, pos = self.take()
+        if kind == "num":
+            value = Fraction(int(val))
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.take()
+                kind3, val3, pos3 = self.peek()
+                if kind3 != "num":
+                    raise ParseError("denominator must be an integer", pos3)
+                self.take()
+                if int(val3) == 0:
+                    raise ParseError("zero denominator", pos3)
+                value = Fraction(int(val), int(val3))
+            return self.ring.constant(value)
+        if kind == "name":
+            if val not in self.ring._index:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            return self.ring.variable(val)
+        if kind == "op" and val == "(":
+            p = self.expr()
+            self.expect_op(")")
+            return p
+        raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
+
+
+def parse_outcome(parser, text, ring):
+    """The parsed terms with their coefficient types, or the ParseError's
+    message and position."""
+    try:
+        p = parser(text, ring)
+    except ParseError as e:
+        return "error", str(e), e.position
+    return {m: (c, type(c)) for m, c in p.terms.items()}
+
+
+def reference_parse(text, ring):
+    return ArithmeticParser(text, ring).parse()
+
+
+def random_expression(rng, names, depth=2):
+    """Text with signs, powers, fractions and parentheses, spaced at random."""
+    def atom():
+        roll = rng.random()
+        if roll < 0.45:
+            return rng.choice(names)
+        if roll < 0.75 or not depth:
+            num = str(rng.randint(0, 12))
+            return num + "/" + str(rng.randint(1, 9)) if rng.random() < 0.3 else num
+        return "(" + random_expression(rng, names, depth - 1) + ")"
+
+    def factor():
+        text = "".join(rng.choice("+-") for _ in range(rng.choice((0, 0, 0, 1, 2)))) + atom()
+        return text + "^" + str(rng.randint(0, 3)) if rng.random() < 0.3 else text
+
+    def gap():
+        return rng.choice(("", "", " ", "  "))
+
+    terms = ["*".join(gap() + factor() + gap() for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 4))]
+    text = terms[0]
+    for t in terms[1:]:
+        text += rng.choice("+-") + t
+    return text
+
+
+def test_term_parser_matches_the_arithmetic_parser_on_seeded_texts():
+    rng = random.Random(71)
+    for _ in range(400):
+        text = random_expression(rng, XYZ.variables)
+        assert parse_outcome(parse, text, XYZ) == parse_outcome(reference_parse, text, XYZ), text
+    # -x^2 is -(x^2), and -2^2 is -4
+    assert parse("-x^2", XYZ) == -XYZ.monomial((2, 0, 0))
+    assert parse("-2^2", XYZ) == XYZ.constant(-4)
+    assert parse("x*0 + 0^0 - (x+y)^0", XYZ).is_zero()
+
+
+def test_term_parser_raises_the_arithmetic_parsers_errors():
+    pieces = ["x", "y", "w", "2", "0", "3/", "/", "+", "-", "*", "^", "(", ")", " ", "$", "1/0"]
+    rng = random.Random(72)
+    errors = 0
+    for _ in range(600):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+        want = parse_outcome(reference_parse, text, XYZ)
+        assert parse_outcome(parse, text, XYZ) == want, text
+        errors += isinstance(want, tuple)
+    assert errors > 300
+
+
+def corpus_texts():
+    """(variable names, text) of every generator and matrix entry that the
+    benchmark's ideal_resolution and cli_documents corpora parse, seeds 1-3."""
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 2, 3):
+        for _label, names, gens in workloads.IdealResolution(None, seed, None, root).ideals:
+            for text in gens:
+                yield names, text
+        for _name, _argv, doc, *_ in workloads.cli_documents(
+                random.Random("cli_documents:%d" % seed), root):
+            if doc and "ring" in doc:
+                names = doc["ring"]["vars"]
+                for text in doc.get("ideal", []):
+                    yield names, text
+                for row in doc.get("matrix", []):
+                    for text in row:
+                        yield names, text
+    for path in sorted((root / "src" / "presmat" / "fixtures").glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "ring" in doc:
+            for text in doc.get("ideal", []) + [t for row in doc.get("matrix", []) for t in row]:
+                yield doc["ring"]["vars"], text
+
+
+def test_term_parser_matches_the_arithmetic_parser_on_the_corpora():
+    count = 0
+    for names, text in corpus_texts():
+        ring = RingContext(names)
+        assert parse_outcome(parse, text, ring) == parse_outcome(reference_parse, text, ring)
+        count += 1
+    assert count > 1000
 
 
 def test_difference_of_squares():
