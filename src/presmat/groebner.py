@@ -16,7 +16,10 @@ on the way in, and results are divided back on the way out, so callers see
 the same Fraction polynomials, monic where a reduced basis is returned.
 One completion loop, _complete, serves bases, prunes and intersections:
 it runs Buchberger with the Gebauer-Moller pair criteria, taking pairs by
-sugar degree from a heap, to the end or through a given sugar.
+sugar degree from a heap, to the end or through a given sugar. Every run is
+in the ring of its input, in that ring's order; an intersection is read off
+the basis of a submodule of R^2 (see intersect), with no new variable. Each
+IdealBasis or ModuleBasis caches one reduced, untracked basis.
 Representations of basis elements in terms of the input generators are
 tracked on demand by the basis of the augmented module [F | I]: input i
 carries one tag term at position rank + i, below every real position, so
@@ -24,7 +27,9 @@ each element's representation is the tail of its own term list, kept by
 the same integer arithmetic. That yields membership cofactors, and
 syzygies as the tag parts of the S-vectors that the tracked run reduces
 to zero (Schreyer; Moller-Mora); so a tracked run keeps the coprime-lead
-(Koszul) pairs, which an untracked run of rank 1 skips. Minimal generators
+(Koszul) pairs, which an untracked run of rank 1 skips. Tracked runs are
+not cached: syzygies read the relations of the run itself, and membership
+cofactors reduce their own tagged basis. Minimal generators
 of ideals and graded modules come from one incremental completion per
 call, truncated at the degree of the candidate under test. A resolution
 passes from one level to the next as primitive engine vectors, not
@@ -58,8 +63,8 @@ class Budget:
     """Caps on a computation: wall seconds and merged monomials.
 
     Each Groebner or syzygy step stops at either cap, its seconds counted
-    from the start of the step; a syzygy step is the run that builds its
-    tracked basis, whose zero reductions are the relations, and a normal
+    from the start of the step; a syzygy step is its tracked run, whose
+    zero reductions are the relations, with no reduced basis, and a normal
     form or membership call's caps cover its basis as well as the
     reduction of its probe. minimal_free_resolution hands each of its steps
     the seconds that remain of its budget, so the whole call stops when
@@ -109,7 +114,7 @@ class _Clock:
 # -- containers ---------------------------------------------------------------
 
 class IdealBasis:
-    """Ordered generators of an ideal, with a per-order reduced-basis cache.
+    """Ordered generators of an ideal, with a cache of its reduced basis.
 
     The ideal is also the rank-1 module of its generators: ambient_rank 1,
     grading (0,), and one column (g,) per generator.
@@ -145,7 +150,8 @@ class IdealBasis:
 
 
 class ModuleBasis:
-    """Ordered generating vectors of a submodule of R^ambient_rank."""
+    """Ordered generating vectors of a submodule of R^ambient_rank, with a
+    cache of their reduced basis."""
 
     __slots__ = ("ring", "ambient_rank", "generators", "grading", "_cache")
 
@@ -382,8 +388,8 @@ class _Basis:
     tagged, an element [b | rho] has b = sum_i rho_i * input_i. Tags sort
     below every other term, and no lead is a tag. sizes[i] counts the terms
     of elems[i] below the tags, which is what the clock is charged for.
-    relations is None on an untracked basis and, on a tracked one, the
-    zero reductions of its run: vectors with only tag terms.
+    relations is None but on a tracked run (see _run), where it holds the
+    zero reductions of the run: vectors with only tag terms.
     """
 
     __slots__ = ("ring", "enc", "rank", "elems", "lpacks", "leads", "sizes",
@@ -617,7 +623,6 @@ def _reduce_basis(basis: _Basis, clock: _Clock) -> _Basis:
         if not any(leads[j][0] == pos and _mono_divides(leads[j][1], m) for j in kept):
             kept.append(i)
     out = _Basis(basis.enc, basis.rank)
-    out.relations = basis.relations
     # stage the kept elements, then tail-reduce each against the others
     for i in kept:
         out.append(basis.elems[i], basis.sugars[i])
@@ -628,26 +633,18 @@ def _reduce_basis(basis: _Basis, clock: _Clock) -> _Basis:
 
 # -- caching helpers ----------------------------------------------------------
 
-def _ring_with_order(ring: RingContext, order) -> RingContext:
-    if order is None or order == ring.order:
-        return ring
-    return RingContext(ring.variables, order)
+def _gb(F, clock: _Clock) -> _Basis:
+    """Reduced basis of the columns of an IdealBasis or ModuleBasis in F's
+    ring, cached on F: untracked, elems sorted by leading term, primitive."""
+    if "gb" not in F._cache:
+        F._cache["gb"] = _reduce_basis(_run_columns(F, clock, False), clock)
+    return F._cache["gb"]
 
 
-def _gb(F, clock: _Clock, track: bool = False, order=None) -> _Basis:
-    """Reduced basis of the columns of an IdealBasis or ModuleBasis, cached
-    on F: elems sorted by leading term, primitive. A tracked one keeps the
-    relations of its run (see _run), as a hit has no run to read them from."""
-    ring = _ring_with_order(F.ring, order)
-    key = ("gb", ring.order, track)
-    # a tracked basis answers untracked queries too
-    basis = F._cache.get(key) or (None if track else
-                                  F._cache.get(("gb", ring.order, True)))
-    if basis is None:
-        enc = _Encoding(ring)
-        run = _run(_vecs_from_columns(F.columns, enc), F.ambient_rank, enc, clock, track)
-        basis = F._cache[key] = _reduce_basis(run, clock)
-    return basis
+def _run_columns(F, clock: _Clock, track: bool) -> _Basis:
+    """_run on the columns of an IdealBasis or ModuleBasis, in F's ring."""
+    enc = _Encoding(F.ring)
+    return _run(_vecs_from_columns(F.columns, enc), F.ambient_rank, enc, clock, track)
 
 
 def _run(vecs: list, rank: int, enc: _Encoding, clock: _Clock, track: bool) -> _Basis:
@@ -678,18 +675,17 @@ def _basis_clock(F, budget: Budget | None) -> _Clock:
 
 # -- ideal operations ---------------------------------------------------------
 
-def groebner_basis(F, order=None, budget: Budget | None = None):
-    """Reduced Groebner basis of an IdealBasis or a ModuleBasis, of the same
-    kind, each element monic; deterministic for a fixed order."""
-    ring = _ring_with_order(F.ring, order)
-    basis = _gb(F, _basis_clock(F, budget), order=order)
+def groebner_basis(F, budget: Budget | None = None):
+    """Reduced Groebner basis of an IdealBasis or a ModuleBasis in the order
+    of its ring, of the same kind, each element monic; deterministic."""
+    basis = _gb(F, _basis_clock(F, budget))
     cols = [_terms_to_polys(v, F.ambient_rank, basis.enc, v[0][2])
             for v in basis.elems]
     if isinstance(F, IdealBasis):
-        out = IdealBasis([p for (p,) in cols], ring=ring)
+        out = IdealBasis([p for (p,) in cols], ring=F.ring)
     else:
-        out = ModuleBasis(F.ambient_rank, cols, ring=ring, grading=F.grading)
-    out._cache[("gb", ring.order, False)] = basis
+        out = ModuleBasis(F.ambient_rank, cols, ring=F.ring, grading=F.grading)
+    out._cache["gb"] = basis
     return out
 
 
@@ -705,11 +701,12 @@ def member(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> bool:
 
 def member_with_cofactors(p: Polynomial, I: IdealBasis,
                           budget: Budget | None = None):
-    """Cofactors c with p = sum c_i * gen_i, or None when p is not in I."""
+    """Cofactors c with p = sum c_i * gen_i, or None when p is not in I;
+    from a tracked reduced basis of I's generators, built for this call."""
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
     clock = _basis_clock(I, budget)
-    basis = _gb(I, clock, track=True)
+    basis = _reduce_basis(_run_columns(I, clock, True), clock)
     enc = basis.enc
     ((v, scale),) = _vecs_from_columns([(p,)], enc)
     r, sigma, _s = basis.nf(v, clock)
@@ -817,42 +814,26 @@ def hilbert_function(I: IdealBasis, degree: int,
     return count(tuple(lt), nv, degree)
 
 
-def _fresh_name(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    k = 0
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
-
-
 def intersect(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> IdealBasis:
-    """I cap J by eliminating t from t*I + (1-t)*J."""
+    """I cap J, in the ring's own order: (0, h) lies in the submodule of R^2
+    generated by (f, f) for f in I and (g, 0) for g in J exactly when h is
+    in I cap J. Position 0 comes first in the module order, so the elements
+    of its reduced basis with their lead at position 1 are the reduced basis
+    of I cap J."""
     if I.ring != J.ring:
         raise ValueError("mismatched rings")
     ring = I.ring
     if not I.generators or not J.generators:
         return IdealBasis((), ring=ring)
-    t_name = _fresh_name("t", set(ring.variables))
-    elim = RingContext((t_name,) + ring.variables, order=("elim", 1))
-    t = elim.variable(t_name)
-
-    def up(p: Polynomial) -> Polynomial:
-        return Polynomial(elim, {(0,) + m: c for m, c in p.terms.items()})
-
-    gens = [t * up(f) for f in I.generators]
-    gens += [(elim.one() - t) * up(g) for g in J.generators]
-    basis = _gb(IdealBasis(gens, ring=elim), _Clock(budget, "intersection"))
-    out = []
-    for v in basis.elems:
-        (p,) = _terms_to_polys(v, 1, basis.enc, v[0][2])
-        if all(m[0] == 0 for m in p.terms):
-            out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms.items()}))
-    meet = IdealBasis(out, ring=ring)
+    zero = ring.zero()
+    M = ModuleBasis(2, [(f, f) for f in I.generators] + [(g, zero) for g in J.generators],
+                    ring=ring)
+    basis = _gb(M, _Clock(budget, "intersection"))
+    meet = IdealBasis([_terms_to_polys(v, 2, basis.enc, v[0][2])[1] for v in basis.elems
+                       if v[0][1] >> basis.enc.pos_bits == 1], ring=ring)
     if all(g.is_homogeneous() for g in I.generators + J.generators):
-        # t*I + (1-t)*J is homogeneous for deg t = 0, so its reduced basis
-        # is too: the t-free elements come monic, distinct and sorted by
-        # (degree, lead) already
+        # the module is graded, so its reduced basis is homogeneous, as the
+        # prune to minimal generators needs
         return minimal_generators(meet, budget=budget)
     return meet
 
@@ -978,7 +959,8 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     of a pair whose remainder joined the run to zero, and that of any
     other pair to its relation; so these relations, with the tag e_i of
     each zero input, generate the syzygies of the inputs. They are
-    returned monic and without repeats, sorted by (degree, lead, support).
+    returned monic and without repeats, sorted by (degree, lead, support);
+    the run is not reduced or cached.
     """
     if not isinstance(F, (IdealBasis, ModuleBasis)):
         raise TypeError("syzygies expects an IdealBasis or ModuleBasis")
@@ -992,7 +974,7 @@ def syzygies(F, budget: Budget | None = None) -> ModuleBasis:
     n = len(inputs)
     if n == 0:
         raise ValueError("no generators")
-    tracked = _gb(F, _Clock(budget, "syzygies"), track=True)
+    tracked = _run_columns(F, _Clock(budget, "syzygies"), True)
     cols = [_terms_to_polys(v, n, tracked.enc, v[0][2])
             for v in _syzygy_vectors(tracked)]
     return ModuleBasis(n, cols, ring=F.ring, grading=grading)

@@ -112,13 +112,13 @@ class RingContext:
     def parse(self, text: str) -> "Polynomial":
         return parse(text, self)
 
-    def extend(self, new_variables, order=None) -> "RingContext":
-        """New ring with extra variables appended; names must not collide."""
+    def extend(self, new_variables) -> "RingContext":
+        """New ring with extra variables appended, in the same order; names
+        must not collide."""
         clash = set(new_variables) & set(self.variables)
         if clash:
             raise ValueError(f"variable collision: {sorted(clash)}")
-        return RingContext(self.variables + tuple(new_variables),
-                           self.order if order is None else order)
+        return RingContext(self.variables + tuple(new_variables), self.order)
 
     def __eq__(self, other):
         if self is other:

@@ -43,7 +43,7 @@ from presmat import (
 )
 from presmat import groebner as engine
 from presmat.groebner import module_minimal_generators, module_normal_form
-from presmat.ring import gcd as ring_gcd
+from presmat.ring import exact_div, gcd as ring_gcd
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -337,6 +337,108 @@ def test_intersection_members_random():
                 assert member(f * h, got)
 
 
+def elimination_intersect(I, J):
+    """I cap J by eliminating t from t*I + (1-t)*J, the cross-route oracle:
+    the t-free elements of the reduced basis in the ring with a new first
+    variable t under the ("elim", 1) order, so in grevlex on I's variables
+    whatever I's order; pruned to minimal generators for homogeneous input."""
+    ring = I.ring
+    if not I.generators or not J.generators:
+        return IdealBasis((), ring=ring)
+    name = next(f"t{k}" for k in range(len(ring.variables) + 1)
+                if f"t{k}" not in ring.variables)
+    elim = RingContext((name,) + ring.variables, order=("elim", 1))
+    t = elim.variable(name)
+
+    def up(p):
+        return Polynomial(elim, {(0,) + m: c for m, c in p.terms.items()})
+
+    gens = [t * up(f) for f in I.generators]
+    gens += [(elim.one() - t) * up(g) for g in J.generators]
+    meet = IdealBasis([Polynomial(ring, {m[1:]: c for m, c in p.terms.items()})
+                       for p in groebner_basis(IdealBasis(gens, ring=elim)).generators
+                       if all(m[0] == 0 for m in p.terms)], ring=ring)
+    if all(g.is_homogeneous() for g in I.generators + J.generators):
+        return minimal_generators(meet)
+    return meet
+
+
+def elimination_gcd(p, q):
+    """gcd(p, q) for non-monomial p and q, as ring.gcd builds it, with the
+    colon ideal (p) : q taken from the elimination oracle."""
+    (m,) = elimination_intersect(IdealBasis([p]), IdealBasis([q])).generators
+    return exact_div(p, exact_div(m, q)).monic()
+
+
+def meet_cases(rng, ring, count):
+    """Seeded (I, J, f, p, q): ideals I and J, homogeneous on even trials,
+    with rational coefficients; among them a zero generator in I, J
+    containing I, and a unit in J. f is a nonzero divisor for the quotient,
+    and p, q non-monomials with the common factor f for the gcd."""
+    cases = []
+    for trial in range(count):
+        if trial % 2 == 0:
+            def draw():
+                return rational_form(rng, ring, rng.choice((1, 2, 2)), max_terms=3)
+        else:
+            def draw():
+                return random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
+        I = [draw() for _ in range(rng.randint(1, 3))]
+        J = [draw() for _ in range(rng.randint(1, 3))]
+        kind = trial % 5
+        if kind == 1:
+            I.insert(rng.randrange(len(I) + 1), ring.zero())
+        elif kind == 2:
+            J += I
+        elif kind == 3:
+            J.insert(rng.randrange(len(J) + 1), ring.constant(rng.randint(1, 5)))
+        f = draw()
+        p, q = (f * (draw() + ring.variable(rng.choice(ring.variables)) ** 3)
+                for _ in range(2))
+        cases.append((IdealBasis(I, ring=ring), IdealBasis(J, ring=ring), f, p, q))
+    return cases
+
+
+def strs(I):
+    return [str(g) for g in I.generators]
+
+
+def test_intersection_quotient_and_gcd_match_the_elimination_route():
+    # in grevlex the module route gives the elimination route's generators
+    # exactly, and so do the quotient and the gcd built on it
+    for I, J, f, p, q in meet_cases(random.Random(37), XYZ, 60):
+        assert strs(intersect(I, J)) == strs(elimination_intersect(I, J))
+        assert strs(quotient(I, f)) == [
+            str(exact_div(g, f)) for g in elimination_intersect(I, IdealBasis([f])).generators]
+        assert str(ring_gcd(p, q)) == str(elimination_gcd(p, q))
+
+
+@pytest.mark.parametrize("order", ["lex", ("elim", 1), ("elim", 2)],
+                         ids=["lex", "elim1", "elim2"])
+def test_intersection_in_other_orders_is_reduced_in_that_order(order):
+    # the same ideal as the elimination route's, generated by the reduced
+    # basis in the ring's own order, or by its minimal generators when the
+    # input is homogeneous; the quotient divides that basis by f, and the
+    # gcd, monic and unique, is the oracle's exactly
+    ring = RingContext(("x", "y", "z"), order=order)
+    differ = 0
+    for I, J, f, p, q in meet_cases(random.Random(41), ring, 30):
+        got, want = intersect(I, J), elimination_intersect(I, J)
+        assert ideal_equal(got, want)
+        differ += strs(got) != strs(want)
+        reduced = groebner_basis(got)
+        if all(g.is_homogeneous() for g in I.generators + J.generators):
+            reduced = minimal_generators(reduced)
+        assert got.generators == reduced.generators
+        colon = quotient(I, f)
+        assert ideal_equal(colon, IdealBasis([exact_div(g, f) for g in elimination_intersect(
+            I, IdealBasis([f])).generators], ring=ring))
+        assert [g * f for g in colon.generators] == list(
+            intersect(I, IdealBasis([f])).generators)
+        assert str(ring_gcd(p, q)) == str(elimination_gcd(p, q))
+    assert differ > 0
+
+
 def test_quotient_examples():
     assert ideal_equal(quotient(ideal(XYZ, "x*z", "y*z"), parse("z", XYZ)),
                        ideal(XYZ, "x", "y"))
@@ -397,8 +499,12 @@ def tag_polys(v, rank, n, enc):
 
 
 def gb(F, track=False):
-    """The engine's cached basis of F, under the default budget."""
-    return engine._gb(F, engine._Clock(None, "test"), track=track)
+    """The engine's reduced basis of F under the default budget: the cached
+    untracked one, or else a tagged one reduced from a tracked run."""
+    clock = engine._Clock(None, "test")
+    if not track:
+        return engine._gb(F, clock)
+    return engine._reduce_basis(engine._run_columns(F, clock, True), clock)
 
 
 def all_pairs_syzygies(F):
@@ -1075,9 +1181,9 @@ def test_budget_caps_the_reduction_of_the_probe():
 
 
 def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
-    # the step is the run that builds its tracked basis, whose zero
-    # reductions are the relations: it charges exactly what that run
-    # charges alone, and a cap one below that stops it
+    # the step is the tracked run whose zero reductions are the relations,
+    # with no reduced basis built after it: it charges exactly what that
+    # run charges alone, and a cap one below that stops it
     charged = []
     tick = engine._Clock.tick
 
@@ -1087,7 +1193,7 @@ def test_a_syzygy_step_charges_its_basis_to_its_own_cap(monkeypatch):
 
     monkeypatch.setattr(engine._Clock, "tick", counting_tick)
     basis_clock = engine._Clock(None, "test")
-    engine._gb(twisted_cubic(), basis_clock, track=True)
+    engine._run_columns(twisted_cubic(), basis_clock, True)
     del charged[:]
     syzygies(twisted_cubic())
     step = sum(charged)
@@ -1326,9 +1432,9 @@ def tracked_answers(F, probes):
 
 
 def test_tags_never_leak():
-    # A tracked basis is cached and answers untracked queries too. Whichever
-    # kind of query comes first on an object, the answers must equal those
-    # on a fresh object.
+    # Only the reduced, untracked basis is cached. Whichever kind of query
+    # comes first on an object, the answers must equal those on a fresh
+    # object.
     rng = random.Random(103)
     cases = []
     for _ in range(4):
@@ -1351,14 +1457,13 @@ def test_tags_never_leak():
             probes = [p for (p,) in probes]
         first = fresh(F)
         tracked_answers(first, probes)
+        assert first._cache == {}  # tracked runs are not cached
         assert untracked_answers(first, probes) == untracked_answers(fresh(F), probes)
-        # the tracked basis answered them: no untracked one was built
-        assert [key[-1] for key in first._cache] == [True]
+        assert list(first._cache) == ["gb"]
         second = fresh(F)
         untracked_answers(second, probes)
         assert tracked_answers(second, probes) == tracked_answers(fresh(F), probes)
         if isinstance(F, IdealBasis):
-            # a cache hit has no run to read relations from: they are cached
             third = fresh(F)
             for p in probes:
                 member_with_cofactors(p, third)

@@ -27,6 +27,7 @@ from presmat import (
     homogeneous_matrix,
     ideal_equal,
     minimal_free_resolution,
+    minimal_generators,
     parse,
     pfaffians,
     rank,
@@ -276,13 +277,16 @@ def test_build_resolution_koszul():
     assert verify_exactness(res).exact
 
 
-def test_build_resolution_mixed_degrees():
-    # h = (x, y^2, z^3) regular, column scalings (u, v, w): the shift data
-    # lands on (3,4,5), (8,7,6), 9
+def mixed_degree_koszul():
+    # h = (x, y^2, z^3) regular, column scalings (u, v, w)
     h = [parse(s, SIX) for s in ("x", "y^2", "z^3")]
     g = [parse(s, SIX) for s in ("u", "v", "w")]
-    M = PolyMatrix.diagonal(SIX, g) @ koszul(SIX, *h)
-    res = build_resolution(M)
+    return PolyMatrix.diagonal(SIX, g) @ koszul(SIX, *h)
+
+
+def test_build_resolution_mixed_degrees():
+    # the shift data lands on (3,4,5), (8,7,6), 9
+    res = build_resolution(mixed_degree_koszul())
     assert res.shifts == ((3, 4, 5), (8, 7, 6), (9,))
     assert res.minimal
     assert verify_exactness(res).exact
@@ -372,6 +376,60 @@ def test_zeta_with_zero_component():
         for j in range(4):
             total = total + T.entry(i, j) * rep.normalized_rho[j]
         assert total.is_zero()
+
+
+# 4x4 minimal presentations whose transposed annihilator is (x, y, z, q),
+# q in (x, y, z): each row is a combination of two syzygy generators of
+# (x, y, z, q) with coefficients +-1 or +-2, times 1 or a variable. Each is
+# listed with the transformed matrix of its zeta report.
+DEPENDENT_ANNIHILATORS = {
+    "x*y + z^2": (
+        [["0", "-2*x*y + y*z", "-y^2 - 2*y*z", "2*y"],
+         ["x*y", "-3*x^2", "-2*x*z", "2*x"],
+         ["y + z", "-x", "-x", "0"],
+         ["-y", "x - 2*z", "2*y", "0"]],
+        [["0", "y*z", "-y^2", "2*y"],
+         ["x*y", "-x^2", "0", "2*x"],
+         ["y + z", "-x", "-x", "0"],
+         ["-y", "x - 2*z", "2*y", "0"]]),
+    "y*z": (
+        [["0", "z^2", "y*z", "-2*z"],
+         ["0", "y*z", "0", "-y"],
+         ["-2*x*y", "2*x^2", "2*x*y", "-2*x"],
+         ["-2*y - 2*z", "2*x", "2*x", "0"]],
+        [["0", "z^2", "-y*z", "-2*z"],
+         ["0", "y*z", "-y^2", "-y"],
+         ["-2*x*y", "2*x^2", "0", "-2*x"],
+         ["-2*y - 2*z", "2*x", "2*x", "0"]]),
+    "x^2 + y*z": (
+        [["x*y", "-y*z", "2*y^2", "-y"],
+         ["-2*y - z", "2*x", "x", "0"],
+         ["-z", "2*z", "x - 2*y", "0"],
+         ["-2*x^2", "-x*z", "-x*y", "2*x"]],
+        [["0", "-y*z", "y^2", "-y"],
+         ["-2*y - z", "2*x", "x", "0"],
+         ["-z", "2*z", "x - 2*y", "0"],
+         ["0", "-x*z", "x*y", "2*x"]]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(DEPENDENT_ANNIHILATORS))
+def test_zeta_sweeps_a_component_in_the_ideal_of_the_others(q):
+    # q lies in (x, y, z), so membership cofactors clear it: the mirrored
+    # column operations keep the matrix killing the reordered rho
+    rows, transformed = DEPENDENT_ANNIHILATORS[q]
+    M = PolyMatrix.from_text(XYZ, rows)
+    pre = check_presentation(M)
+    assert pre.is_presentation and pre.is_minimal
+    assert texts(pre.gamma_transpose) == ["x", "y", "z", q]
+    rep = zeta(M)
+    J = IdealBasis([p for p in pre.gamma_transpose.components if not p.is_zero()])
+    assert (rep.nu_I, rep.nu_J, rep.zeta) == (4, 3, 1)
+    assert rep.nu_J == len(minimal_generators(J).generators)
+    assert texts(rep.normalized_rho) == ["x", "y", "z", "0"]
+    T = rep.transformed_matrix
+    assert [[str(p) for p in row] for row in T.entries] == transformed
+    assert (T @ PolyMatrix(XYZ, [[p] for p in rep.normalized_rho])).is_zero()
 
 
 def test_zeta_dependent_component_is_swept():
@@ -1004,6 +1062,40 @@ def test_unit_factors_the_cofactors_on_the_sweep(sweep_matrices, minor_runs):
         for A in (PolyMatrix(M.ring, M.entries), M.transpose()):
             assert assert_cofactors_factor(A)[0].cofactor_unit.is_unit()
     assert minor_runs == []
+
+
+def report_texts(rep):
+    return (rep.is_presentation, texts(rep.gamma), texts(rep.gamma_transpose),
+            str(rep.cofactor_unit), rep.height_J, rep.is_minimal, rep.failure_reason)
+
+
+def test_caller_shifts_that_grade_the_matrix_give_the_same_report(minor_runs):
+    # the caller's shifts stand in for the derived ones; any shifts that
+    # grade M, translates of the derived ones too, read u off the degrees
+    for M, a, b in ((square4(), (2, 2, 2, 2), (3, 3, 3, 3)),
+                    (mixed_degree_koszul(), (3, 4, 5), (8, 7, 6))):
+        plain = build_resolution(M)
+        for shift in (0, -2):
+            rows, cols = tuple(d + shift for d in a), tuple(d + shift for d in b)
+            graded = PolyMatrix(M.ring, M.entries, row_shifts=rows, col_shifts=cols)
+            assert report_texts(check_presentation(graded)) == report_texts(
+                check_presentation(M))
+            if shift == 0:
+                res = build_resolution(graded)
+                assert res.shifts == plain.shifts == (a, b, (sum(b) - sum(a),))
+                assert [m.entries for m in res.maps] == [m.entries for m in plain.maps]
+    assert minor_runs == []
+
+
+def test_caller_shifts_that_do_not_grade_the_matrix(minor_runs):
+    # shifts that fail to grade M are not admitted: u comes from a minor,
+    # the verdict stands, and the chain built on those shifts is refused
+    M = square4()
+    bad = PolyMatrix(M.ring, M.entries, row_shifts=(2, 2, 2, 2), col_shifts=(3, 3, 3, 4))
+    assert report_texts(check_presentation(bad)) == report_texts(check_presentation(M))
+    assert len(minor_runs) == 1
+    with pytest.raises(ValueError, match="grading inconsistency"):
+        build_resolution(bad)
 
 
 def derives_shifts(M, rep):
