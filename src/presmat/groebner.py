@@ -996,15 +996,6 @@ def _syz_rank(v: list, enc: _Encoding):  # (degree of its terms, lead, support)
     return (max(sum(m) for _pos, m in support), v[0][0], support)
 
 
-def module_minimal_generators(M: ModuleBasis, budget: Budget | None = None) -> ModuleBasis:
-    """Degree-ascending prune of homogeneous vector generators."""
-    if M.grading is None:
-        raise ValueError("minimal module generators need a grading")
-    kept = _minimal_indices(M, "minimal module generators", budget)
-    return ModuleBasis(M.ambient_rank, [M.generators[i] for i in kept],
-                       ring=M.ring, grading=M.grading)
-
-
 # -- resolutions --------------------------------------------------------------
 
 def minimal_free_resolution(I: IdealBasis, max_length: int = 3,

@@ -11,15 +11,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count
+from math import lcm
 
 from .groebner import (
     Budget,
+    BudgetExceeded,
     GradedResolution,
     IdealBasis,
     ModuleBasis,
     UnitIdealError,
     _Clock,
-    groebner_basis,
+    _Encoding,
+    _reduce_basis,
+    _run,
+    _syzygy_vectors,
+    _terms_to_polys,
     height,
     ideal_equal,
     intersect,
@@ -83,32 +89,89 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _assert_annihilates(g, M: PolyMatrix, clock: _Clock):
-    """g * M = 0, skipping zero factors; each product is charged to clock."""
-    for j in range(M.cols):
-        total = M.ring.zero()
-        for i in range(M.rows):
-            a, b = g[i], M.entry(i, j)
+def _pack(M: PolyMatrix):
+    """(enc, rows, scale): the entries of scale * M as engine terms, in one
+    pass, scale the least common denominator of M's coefficients. rows[i][j]
+    lists the (key, pack, c) of entry (i, j) at position 0, sorted by
+    falling key, with integer c. scale * M has the syzygies of M, and with
+    scale as every input's tag (see groebner._tagged) a tracked run stores
+    the primitive elements it stores on inputs cleared one by one."""
+    enc = _Encoding(M.ring)
+    scale = lcm(*{c.denominator for row in M.entries for p in row
+                  for c in p.terms.values()})
+    rows = [[sorted(((*enc.term(0, m), c.numerator * (scale // c.denominator))
+                     for m, c in p.terms.items()), reverse=True) for p in row]
+            for row in M.entries]
+    return enc, rows, scale
+
+
+def _vectors(rows, enc: _Encoding, scale: int) -> list:
+    """The (terms, scale) engine vector of each row of packed entries, entry
+    j at position j. Positions order the keys first, so the concatenation of
+    the entries, each sorted by falling key, is too."""
+    pos_key, pos_bits = enc.pos_key, enc.pos_bits
+    return [([(k - j * pos_key, p + (j << pos_bits), c)
+              for j, terms in enumerate(row) for k, p, c in terms], scale)
+            for row in rows]
+
+
+def _add_product(total: dict, a, b, guard: int):
+    """Add the product of the packed polynomials a and b, (key, pack, c)
+    terms with packs at position 0 (keys are not read), into total (pack ->
+    c). A packed product is the sum of the packs; one whose exponents reach
+    the engine's limit sets a guard bit, and raises BudgetExceeded rather
+    than wrap."""
+    get = total.get
+    for _kb, pb, cb in b:
+        for _ka, pa, ca in a:
+            p = pa + pb
+            if p & guard:
+                raise BudgetExceeded("exponent beyond the Groebner engine's range")
+            total[p] = get(p, 0) + ca * cb
+
+
+def _assert_annihilates(g: list, h: list, rows, enc: _Encoding, clock: _Clock):
+    """g * M = 0 and M * h = 0 for the primitive engine vectors g and h and
+    the packed entries rows of a multiple of M, with exact integers, one dict
+    per column (row); zero factors are skipped, and each product of a and b
+    is charged len(a) * len(b) to clock."""
+    n, low = len(rows), enc.low
+    g_parts, h_parts = ([[] for _ in range(n)] for _ in range(2))
+    for v, parts in ((g, g_parts), (h, h_parts)):
+        for k, p, c in v:
+            parts[p >> enc.pos_bits].append((k, p & low, c))
+    sums = [[(g_parts[i], rows[i][j]) for i in range(n)] for j in range(n)]
+    sums += [[(h_parts[j], rows[i][j]) for j in range(n)] for i in range(n)]
+    for pairs in sums:
+        total: dict = {}
+        for a, b in pairs:
             if a and b:
-                clock.tick(len(a.terms) * len(b.terms))
-                total = total + a * b
-        if total:
+                clock.tick(len(a) * len(b))
+                _add_product(total, a, b, enc.guard)
+        if any(total.values()):
             raise AssertionError("annihilator check failed; rank computation is off")
 
 
-def _syzygy_generator(F: ModuleBasis, budget: Budget | None):
-    """The generator of the syzygy module of the columns of F when that
-    module is cyclic and nonzero, else None.
+def _syzygy_generator(vectors: list, rank: int, enc: _Encoding,
+                      budget: Budget | None):
+    """The generator of the syzygy module of the (terms, scale) engine
+    vectors, in the free module of the given rank, when that module is
+    cyclic and nonzero, as a primitive integer vector with a positive lead;
+    else None.
 
     A cyclic module R*v has the reduced Groebner basis {v}, since every
     element f*v has lead term lt(f)*lt(v); so a module with a one-element
-    reduced basis is cyclic and one with more is not. syzygies returns its
-    vectors monic, with the lead in the first nonzero component.
+    reduced basis is cyclic and one with more is not. The relations of one
+    tracked run generate the module (see groebner.syzygies); when there are
+    several, their reduced basis decides. Either way the vector is the one
+    syzygies and groebner_basis return monic.
     """
-    S = syzygies(F, budget=budget)
-    if len(S.generators) > 1:
-        S = groebner_basis(S, budget=budget)
-    return S.generators[0] if len(S.generators) == 1 else None
+    syz = _syzygy_vectors(_run(vectors, rank, enc, _Clock(budget, "syzygies"), True))
+    if len(syz) > 1:
+        clock = _Clock(budget, "module groebner basis")
+        syz = _reduce_basis(_run([(v, 1) for v in syz], len(vectors), enc, clock,
+                                 False), clock).elems
+    return syz[0] if len(syz) == 1 else None
 
 
 # the first primes, one per variable, where distinct monomials differ
@@ -128,25 +191,29 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     each shown independent of those before it by full rank at one rational
     point or else by a syzygy run; g does not depend on the choice.
     """
-    g = _syzygy_generator(column_module(M.transpose()), budget)
+    enc, rows, scale = _pack(M)
+    g = _syzygy_generator(_vectors(rows, enc, scale), M.cols, enc, budget)
     if g is None:
         raise ValueError("gamma needs rank exactly rows - 1")
     if M.rows < 2:  # a zero row has that rank, and g = (1,)
         raise ValueError("gamma needs at least two rows")
+    columns = _vectors(zip(*rows), enc, scale)
     point = _evaluation_point(M.ring)
     at_point = [[p.evaluate(point) for p in row] for row in M.entries]
     chosen = []
     for j in range(M.cols):
         cols = chosen + [j]
         # full rank at a point proves full rank over R; otherwise the
-        # columns are independent exactly when they have no syzygy
+        # columns are independent exactly when a tracked run of them finds
+        # no relation
         if len(chosen) < M.rows - 1 and (
                 len(value_left_kernel([[row[c] for c in cols] for row in at_point])[0])
                 == len(cols)
-                or not syzygies(column_module(M.submatrix(range(M.rows), cols)),
-                                budget=budget).generators):
+                or not _run([columns[c] for c in cols], M.rows, enc,
+                            _Clock(budget, "syzygies"), True).relations):
             chosen.append(j)
-    return GammaVector(g, M, chosen, _NORMALIZATION)
+    return GammaVector(_terms_to_polys(g, M.rows, enc, g[0][2]), M, chosen,
+                       _NORMALIZATION)
 
 
 class PresentationReport:
@@ -197,21 +264,25 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     there: full rank at p proves full rank, which fails the test with no
     syzygy run. Otherwise the row annihilator of M is a reflexive module
     of rank 1 over a factorial ring if the rank is n-1, so it is free,
-    generated by the primitive g. The syzygies of the rows of M, the run
-    gamma(M) makes too, are the cyclic module R*g at rank n-1, and of rank
-    2 or more below; those of the columns give h. g * M = 0 and M * h = 0
-    are checked once, under the budget. The column subsets of g and h are
-    read off h and g. At rank n-1 the cofactor matrix C has rank 1 with
-    columns in the span of g and rows in the span of h, and as both are
-    primitive, C = u * g * h^T for a polynomial u. When shifts grade M and
-    M has rank n-1 at p, the degrees give deg u; if it is 0, u is the
-    constant C_ic(p) / (g_i(p) * h_c(p)), C_ic(p) read off the same
-    elimination. Otherwise u is the quotient of one (n-1)-minor. The test
-    requires u to be a nonzero constant, and the ideal of the h components
-    to have height at least 3. Failures are reported, never raised. The
-    report is kept on M: a later call on the same object returns it,
-    whatever that call's budget. A run that exceeds its budget keeps
-    nothing.
+    generated by the primitive g. M is packed once into the Groebner
+    engine's integer terms, as a multiple of M with no denominator, and
+    its rows and columns feed the two syzygy runs. Those of the rows, the
+    run gamma(M) makes too, are the cyclic module R*g at rank n-1, and of
+    rank 2 or more below; those of the columns give h. Both come back as
+    primitive integer vectors, and g * M = 0 and M * h = 0 are checked once
+    on the packed terms, in exact integers, under the budget; then g and h
+    become monic Polynomials, for the report, u and the height. The column
+    subsets of g and h are read off h and g. At rank n-1 the cofactor
+    matrix C has rank 1 with columns in the span of g and rows in the span
+    of h, and as both are primitive, C = u * g * h^T for a polynomial u.
+    When shifts grade M and M has rank n-1 at p, the degrees give deg u;
+    if it is 0, u is the constant C_ic(p) / (g_i(p) * h_c(p)), C_ic(p)
+    read off the same elimination. Otherwise u is the quotient of one
+    (n-1)-minor. The test requires u to be a nonzero constant, and the
+    ideal of the h components to have height at least 3. Failures are
+    reported, never raised. The report is kept on M: a later call on the
+    same object returns it, whatever that call's budget. A run that
+    exceeds its budget keeps nothing.
     """
     if "presentation" not in M._cache:
         M._cache["presentation"] = _presentation_report(M, budget)
@@ -226,23 +297,25 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     point = _evaluation_point(M.ring)
     pivots, kernel = value_left_kernel([[p.evaluate(point) for p in row]
                                         for row in M.entries])
-    T = M.transpose()
+    g = None
     # full rank at p proves full rank; a rank deficit at p proves nothing
-    g = None if len(pivots) == n else _syzygy_generator(column_module(T), budget)
+    if len(pivots) < n:
+        enc, rows, scale = _pack(M)
+        g = _syzygy_generator(_vectors(rows, enc, scale), n, enc, budget)
     if g is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK)
-    h = _syzygy_generator(column_module(M), budget)
-    clock = _Clock(budget, "annihilator check")
-    _assert_annihilates(g, M, clock)
-    _assert_annihilates(h, T, clock)
+    h = _syzygy_generator(_vectors(zip(*rows), enc, scale), n, enc, budget)
+    _assert_annihilates(g, h, rows, enc, _Clock(budget, "annihilator check"))
+    g, h = (_terms_to_polys(v, n, enc, v[0][2]) for v in (g, h))
     # the greedy pivot columns of M leave out the last column that the
     # relation h among the columns involves, and those of M^T the last row
     # that g involves
     q = max(j for j in range(n) if not h[j].is_zero())
     last = max(i for i in range(n) if not g[i].is_zero())
     g = GammaVector(g, M, [j for j in range(n) if j != q], _NORMALIZATION)
-    h = GammaVector(h, T, [i for i in range(n) if i != last], _NORMALIZATION)
+    h = GammaVector(h, M.transpose(), [i for i in range(n) if i != last],
+                    _NORMALIZATION)
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)

@@ -67,6 +67,19 @@ def oracle_det(rows):
     return total
 
 
+def to_sympy(sympy, p: Polynomial, symbols):
+    """p as a sympy expression in the given symbols."""
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod(s ** e for s, e in zip(symbols, m))
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+def from_sympy(sympy, expr, ring: RingContext, symbols) -> Polynomial:
+    """The sympy expression expr as a Polynomial of ring."""
+    return Polynomial(ring, {tuple(m): Fraction(int(c.p), int(c.q))
+                             for m, c in sympy.Poly(expr, *symbols).terms()})
+
+
 @pytest.fixture(scope="session")
 def sweep_matrices():
     """homogeneous_matrix for each of the paper's 27 uniform cases, built once."""

@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import random_form, random_poly
+from conftest import from_sympy, random_form, random_poly, to_sympy
 from koszul_oracle import KoszulOracle, assert_koszul_agrees, resolution_betti
 from presmat import (
     Budget,
@@ -42,7 +42,7 @@ from presmat import (
     verify_exactness,
 )
 from presmat import groebner as engine
-from presmat.groebner import module_minimal_generators, module_normal_form
+from presmat.groebner import module_normal_form
 from presmat.ring import exact_div, gcd as ring_gcd
 
 XYZ = RingContext(("x", "y", "z"))
@@ -142,6 +142,37 @@ def test_membership():
     assert member(parse("x*y", XYZ), I)
     assert not member(parse("y", XYZ), I)
     assert member(XYZ.zero(), I)
+
+
+def test_normal_form_and_membership_match_sympy():
+    # seeded ideals in x, y, z with rational coefficients, homogeneous or
+    # not; sympy's remainder on its own Groebner basis is the unique normal
+    # form, and half of the probes are planted members
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(XYZ.variables)
+    rng = random.Random(3141)
+    members = remainders = 0
+    for k in range(24):
+        if k % 2:
+            gens = [random_form(rng, XYZ, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        else:
+            gens = [random_poly(rng, XYZ, max_terms=3, max_deg=2, allow_zero=False)
+                    for _ in range(rng.randint(1, 3))]
+        I = IdealBasis(gens, ring=XYZ)
+        G = sympy.groebner([to_sympy(sympy, g, symbols) for g in gens], *symbols,
+                           order="grevlex", domain="QQ")
+        probes = [random_poly(rng, XYZ, max_terms=4, max_deg=3) for _ in range(2)]
+        probes += [combine([random_poly(rng, XYZ, max_terms=2, max_deg=2) for _ in gens],
+                           gens, XYZ) for _ in range(2)]
+        for p in probes:
+            _q, r = sympy.reduced(to_sympy(sympy, p, symbols), G.exprs, *symbols,
+                                  order="grevlex", domain="QQ")
+            remainder = normal_form(p, I)
+            assert remainder == from_sympy(sympy, r, XYZ, symbols)
+            assert member(p, I) == G.contains(to_sympy(sympy, p, symbols))
+            members += member(p, I)
+            remainders += not remainder.is_zero()
+    assert members >= 48 and remainders >= 20
 
 
 def test_cofactors_monomial_example():
@@ -819,6 +850,18 @@ def test_resolution_rejects_inhomogeneous_and_unit():
         minimal_free_resolution(ideal(XYZ, "x^2 + y"))
     with pytest.raises(UnitIdealError):
         minimal_free_resolution(ideal(XYZ, "1"))
+
+
+def module_minimal_generators(M, budget=None):
+    """Degree-ascending prune of the homogeneous columns of a graded
+    ModuleBasis by the engine's prune. The library prunes engine vectors
+    inside its resolution route and has no Polynomial entry point for it;
+    the oracles here take one."""
+    if M.grading is None:
+        raise ValueError("minimal module generators need a grading")
+    kept = engine._minimal_indices(M, "minimal module generators", budget)
+    return ModuleBasis(M.ambient_rank, [M.generators[i] for i in kept],
+                       ring=M.ring, grading=M.grading)
 
 
 def composed_resolution(I, max_length):

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_det, random_form, random_poly
+from conftest import from_sympy, oracle_det, random_form, random_poly, to_sympy
 from presmat.matrices import (
     DegreeMatrix,
     PolyMatrix,
@@ -49,6 +49,29 @@ def test_det_diagonal():
     ring = RingContext(["x", "y", "z"])
     d = PolyMatrix.diagonal(ring, [ring.variable(v) for v in "xyz"])
     assert det(d) == ring.parse("x*y*z")
+
+
+def test_det_matches_sympy():
+    # seeded square matrices in x, y, z with rational coefficients, sizes 1
+    # to 4, some with a row that depends on the others
+    sympy = pytest.importorskip("sympy")
+    ring = RingContext(["x", "y", "z"])
+    symbols = sympy.symbols(ring.variables)
+    rng = random.Random(4242)
+    singular = 0
+    for k in range(40):
+        n = 1 + k % 4
+        rows = [[random_poly(rng, ring, max_terms=3, max_deg=2) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and k % 3 == 0:
+            c = random_poly(rng, ring, max_terms=2, max_deg=1)
+            rows[-1] = [c * p for p in rows[0]]
+        theirs = sympy.Matrix([[to_sympy(sympy, p, symbols) for p in row]
+                               for row in rows]).det(method="berkowitz")
+        want = from_sympy(sympy, sympy.expand(theirs), ring, symbols)
+        assert det(PolyMatrix(ring, rows)) == want
+        singular += want.is_zero()
+    assert singular >= 5
 
 
 def test_det_nonsquare_rejected():

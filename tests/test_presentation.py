@@ -36,6 +36,9 @@ from presmat import (
     zeta,
 )
 from presmat import presentation
+from presmat.groebner import _EXP_LIMIT as EXP_LIMIT
+from presmat.groebner import _Encoding as Encoding
+from presmat.groebner import _syzygy_vectors, _terms_to_polys
 from presmat.matrices import left_kernel
 from presmat.presentation import FAIL_HEIGHT, FAIL_RANK, FAIL_UNIT
 from presmat.ring import exact_div
@@ -983,14 +986,15 @@ def test_gamma_decides_columns_dependent_at_the_point_by_syzygies(monkeypatch):
     M = PolyMatrix(XYZ, [[a[i], z * a[i], b[i]] for i in range(3)])
     assert [p.evaluate(point) for p in a] == [p.evaluate(point) for p in b]
     runs = []
-    syzygies = presentation.syzygies
+    run = presentation._run
 
-    def spy(F, budget=None):
-        S = syzygies(F, budget=budget)
-        runs.append((len(F.generators), len(S.generators)))
-        return S
+    def spy(vectors, rank, enc, clock, track):
+        B = run(vectors, rank, enc, clock, track)
+        if track:
+            runs.append((len(vectors), len(_syzygy_vectors(B))))
+        return B
 
-    monkeypatch.setattr(presentation, "syzygies", spy)
+    monkeypatch.setattr(presentation, "_run", spy)
     g = gamma(M)
     assert runs[1:] == [(2, 1), (2, 0)]  # after the run on the rows
     assert g.column_subset == (0, 2)
@@ -1179,7 +1183,14 @@ def test_full_rank_at_the_point_runs_no_syzygies(syzygy_runs):
                                      for row in M.entries for p in row)
     assert syzygy_runs == []
     for M in matrices:
-        assert presentation._syzygy_generator(column_module(M.transpose()), None) is None
+        assert row_syzygy_generator(M) is None
+
+
+def row_syzygy_generator(M, budget=None):
+    """_syzygy_generator on the packed rows of M."""
+    enc, rows, scale = presentation._pack(M)
+    return presentation._syzygy_generator(presentation._vectors(rows, enc, scale),
+                                          M.cols, enc, budget)
 
 
 def test_annihilator_check_runs_under_the_budget(monkeypatch):
@@ -1188,11 +1199,70 @@ def test_annihilator_check_runs_under_the_budget(monkeypatch):
     M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
     syzygy_generator = presentation._syzygy_generator
     monkeypatch.setattr(presentation, "_syzygy_generator",
-                        lambda F, budget: syzygy_generator(F, None))
+                        lambda vectors, rank, enc, budget:
+                        syzygy_generator(vectors, rank, enc, None))
     with pytest.raises(BudgetExceeded, match="annihilator check"):
         check_presentation(M, budget=Budget(max_monomials=0))
     assert "presentation" not in M._cache
     assert check_presentation(M).is_presentation
+
+
+@pytest.mark.parametrize("corrupted", [0, 1], ids=["g", "h"])
+def test_packed_check_rejects_a_corrupted_annihilator(monkeypatch, corrupted):
+    # one coefficient of g (the rows' run) or of h (the columns' run) moves
+    # by 1: g' = g + x^m e_i and g' * M picks up x^m times row i of M, which
+    # is nonzero, and likewise for h and a column
+    M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
+    generator = presentation._syzygy_generator
+    calls = []
+
+    def corrupt(vectors, rank, enc, budget):
+        v = generator(vectors, rank, enc, budget)
+        if len(calls) == corrupted:
+            k, p, c = v[-1]
+            v = v[:-1] + [(k, p, c + 1)]
+        calls.append(v)
+        return v
+
+    monkeypatch.setattr(presentation, "_syzygy_generator", corrupt)
+    with pytest.raises(AssertionError, match="annihilator check failed"):
+        check_presentation(M)
+    assert len(calls) == 2
+    assert "presentation" not in M._cache
+
+
+def test_packed_product_raises_at_the_exponent_limit():
+    # exponents below the limit add up in their own field; a sum that
+    # reaches it sets the field's guard bit and raises instead of wrapping
+    # into the next variable's field
+    enc = Encoding(XYZ)
+    half = EXP_LIMIT // 2
+    x_half = [enc.term(0, (half, 0, 0)) + (1,)]
+    x_below = [enc.term(0, (half - 1, 0, 0)) + (3,)]
+    total = {}
+    presentation._add_product(total, x_half, x_below, enc.guard)
+    assert total == {enc.term(0, (EXP_LIMIT - 1, 0, 0))[1]: 3}
+    for a, b in ((x_half, x_half), (x_below + x_half, [enc.term(0, (half, 1, 0)) + (2,)])):
+        with pytest.raises(BudgetExceeded, match="exponent"):
+            presentation._add_product({}, a, b, enc.guard)
+
+
+def test_rational_matrix_keeps_its_report():
+    # the rows of M have denominators 3, 6 and 2; the check packs 6 * M once
+    # and must answer as on M itself: the same texts as before the packed
+    # check, the elimination oracle's annihilators, and g = h = f, whose
+    # Koszul matrix this is (all monic already, so u = 1)
+    f = [parse(p, XYZ) for p in ("x + 1/2*y", "y - z", "2/3*x + z")]
+    M = koszul(XYZ, *f)
+    want = (True, ["x + 1/2*y", "y - z", "2/3*x + z"],
+            ["x + 1/2*y", "y - z", "2/3*x + z"], "1", 3, True, None)
+    for A in (M, M.transpose()):
+        rep = check_presentation(A)
+        assert report_texts(rep) == want
+        assert rep.gamma.column_subset == rep.gamma_transpose.column_subset == (0, 1)
+        assert list(rep.gamma) == f
+        assert_report_matches_gamma(PolyMatrix(A.ring, A.entries))
+    assert build_resolution(M).shifts == ((1, 1, 1), (2, 2, 2), (3,))
 
 
 def test_property_resolutions_verify():
@@ -1229,13 +1299,17 @@ def test_even_size_row_ideal_has_height_two():
 
 @pytest.fixture
 def syzygy_runs(monkeypatch):
-    """The inputs of each syzygies run of the presentation layer, as tuples
-    of vectors: a check runs one on the rows of M and one on its columns."""
+    """The inputs of each syzygy run of the presentation layer, as tuples
+    of Polynomial vectors: a check runs one on the rows of M and one on its
+    columns, each packed as engine vectors of a multiple of M."""
     seen = []
-    syzygies = presentation.syzygies
-    monkeypatch.setattr(presentation, "syzygies",
-                        lambda F, budget=None: seen.append(F.generators)
-                        or syzygies(F, budget=budget))
+    generator = presentation._syzygy_generator
+
+    def spy(vectors, rank, enc, budget):
+        seen.append(tuple(_terms_to_polys(v, rank, enc, scale) for v, scale in vectors))
+        return generator(vectors, rank, enc, budget)
+
+    monkeypatch.setattr(presentation, "_syzygy_generator", spy)
     return seen
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_form, random_poly
+from conftest import from_sympy, random_form, random_poly, to_sympy
 from presmat.ring import (
     NEG_INF,
     ParseError,
@@ -366,18 +366,11 @@ def test_gcd_matches_sympy():
     for k in range(120):
         ring = rings[k % len(rings)]
         symbols = sympy.symbols(ring.variables)
-
-        def to_sympy(p):
-            return sum((sympy.Rational(c.numerator, c.denominator)
-                        * sympy.prod(s ** e for s, e in zip(symbols, m))
-                        for m, c in p.terms.items()), sympy.Integer(0))
-
         g = random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
         p = g * random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
         q = g * random_poly(rng, ring, max_terms=3, max_deg=2, allow_zero=False)
-        theirs = sympy.Poly(sympy.gcd(to_sympy(p), to_sympy(q)), *symbols)
-        want = Polynomial(ring, {tuple(m): Fraction(int(c.p), int(c.q))
-                                 for m, c in theirs.terms()})
+        theirs = sympy.gcd(to_sympy(sympy, p, symbols), to_sympy(sympy, q, symbols))
+        want = from_sympy(sympy, theirs, ring, symbols)
         assert gcd(p, q) == want.monic()
         general += len(p.terms) > 1 and len(q.terms) > 1 and len(want.terms) > 1
     assert general > 40  # most cases take the colon-ideal route
