@@ -167,18 +167,16 @@ def lift_matrix(M: PolyMatrix, u, fresh_vars,
         raise ValueError("exponents must be nonnegative")
     before = _minimal_presentation(M, budget, "lift needs a minimal presentation matrix")
     ring = M.ring.extend(fresh_vars)  # raises on name collision
-    ys = [ring.variable(v) for v in fresh_vars]
-    entries = [[embed(M.entry(i, j), ring) * ys[i] ** u[i]
-                for j in range(n)] for i in range(n)]
-    lifted = PolyMatrix(ring, entries)
+    zeros = [0] * M.ring.nvars  # the fresh variables come last
+    powers = [ring.monomial(zeros + [u[j] if j == i else 0 for j in range(n)])
+              for i in range(n)]  # y_i^{u_i}
+    lifted = PolyMatrix(ring, [[embed(p, ring) * powers[i] for p in M.row(i)]
+                               for i in range(n)])
     after = check_presentation(lifted, budget=budget)
     if not after.is_presentation or not after.is_minimal:
         raise AssertionError("lifted matrix lost the presentation property")
     for i in range(n):
-        factor = ring.one()
-        for j in range(n):
-            if j != i:
-                factor = factor * ys[j] ** u[j]
+        factor = ring.monomial(zeros + [0 if j == i else u[j] for j in range(n)])
         assert after.gamma[i] == embed(before.gamma[i], ring) * factor
     return lifted
 

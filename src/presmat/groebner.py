@@ -47,7 +47,7 @@ from math import comb, gcd, inf, lcm
 from operator import add, sub
 from struct import Struct
 
-from .matrices import PolyMatrix, check_graded
+from .matrices import PolyMatrix, check_graded, vector_degree
 from .ring import Polynomial, RingContext, exact_div
 
 
@@ -187,8 +187,9 @@ class GradedResolution:
     """Chain of graded free modules F_k -> ... -> F_1 -> F_0 = R.
 
     maps[k] sends F_{k+1} to F_k (rightmost map first); shifts[k] lists the
-    generator degrees of F_{k+1}. Every map carries its shifts, so entry
-    homogeneity is checkable via matrices.check_graded.
+    generator degrees of F_{k+1}. Every map carries its shifts, so
+    validate checks its grading with matrices.check_graded, the rule
+    matrices.vector_degree applied to each column.
     """
 
     __slots__ = ("ring", "maps", "shifts", "minimal")
@@ -926,22 +927,6 @@ def module_contains(A: ModuleBasis, B: ModuleBasis,
     if A.ambient_rank != B.ambient_rank:
         raise ValueError("ambient ranks differ")
     return all(module_member(v, A, budget=budget) for v in B.generators)
-
-
-def vector_degree(vector, shifts):
-    """Degree of a homogeneous vector given source shifts; None for zero."""
-    deg = None
-    for comp, shift in zip(vector, shifts):
-        if comp.is_zero():
-            continue
-        if not comp.is_homogeneous():
-            raise ValueError("vector component is not homogeneous")
-        d = comp.degree() + shift
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise ValueError("vector is not homogeneous for the given shifts")
-    return deg
 
 
 def syzygies(F, budget: Budget | None = None) -> ModuleBasis:

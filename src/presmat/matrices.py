@@ -388,17 +388,37 @@ def degree_matrix(M: PolyMatrix) -> DegreeMatrix:
                           for j in range(M.cols)] for i in range(M.rows)])
 
 
+def vector_degree(vector, shifts):
+    """Degree of a vector of polynomials over a free module whose basis
+    vector i has degree shifts[i]: every nonzero component is homogeneous
+    and deg v_i + shifts[i] is the same for all of them. None for the zero
+    vector; ValueError, naming a grading inconsistency, when the vector is
+    not homogeneous. This is the one grading rule: check_graded applies it
+    to each column of a matrix, and the presentation layer derives shifts
+    with it."""
+    deg = None
+    for comp, shift in zip(vector, shifts):
+        if comp.is_zero():
+            continue
+        if not comp.is_homogeneous():
+            raise ValueError("grading inconsistency: vector component is not homogeneous")
+        d = comp.degree() + shift
+        if deg is None:
+            deg = d
+        elif deg != d:
+            raise ValueError("grading inconsistency: vector is not homogeneous "
+                             "for the given shifts")
+    return deg
+
+
 def check_graded(M: PolyMatrix) -> bool:
-    """Every nonzero entry homogeneous of degree col_shift - row_shift."""
+    """Whether M's shifts grade it: every column j, over the row shifts, is
+    zero or has vector_degree col_shift j; so every nonzero entry is
+    homogeneous of degree col_shift - row_shift."""
     if M.row_shifts is None or M.col_shifts is None:
         raise ValueError("check_graded needs row and column shifts")
-    for i in range(M.rows):
-        for j in range(M.cols):
-            p = M.entries[i][j]
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous():
-                return False
-            if p.degree() != M.col_shifts[j] - M.row_shifts[i]:
-                return False
-    return True
+    try:
+        return all(vector_degree(M.column(j), M.row_shifts) in (None, b)
+                   for j, b in enumerate(M.col_shifts))
+    except ValueError:
+        return False

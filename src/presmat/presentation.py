@@ -42,6 +42,7 @@ from .matrices import (
     minor,
     rank,
     value_left_kernel,
+    vector_degree,
 )
 from .ring import exact_div, gcd
 
@@ -223,14 +224,17 @@ class PresentationReport:
     and of its transpose once the rank is known to be n-1, else None;
     cofactor_unit is the u with C = u * g * h^T for the cofactor matrix C,
     and height_J the height of the ideal of the h components, each None
-    until the test reaches it.
+    until the test reaches it. shifts is the pair (a, b) of row and column
+    shifts that grade M, M's own or else derived from g (see _grading),
+    once g is known; None when no shifts grade M or the rank is not n-1.
+    build_resolution reads its shifts from here.
     """
 
     __slots__ = ("is_presentation", "gamma", "gamma_transpose", "cofactor_unit",
-                 "height_J", "is_minimal", "failure_reason")
+                 "height_J", "is_minimal", "failure_reason", "shifts")
 
     def __init__(self, is_presentation, gamma, gamma_transpose, cofactor_unit,
-                 height_J, is_minimal, failure_reason):
+                 height_J, is_minimal, failure_reason, shifts):
         self.is_presentation = is_presentation
         self.gamma = gamma
         self.gamma_transpose = gamma_transpose
@@ -238,6 +242,7 @@ class PresentationReport:
         self.height_J = height_J
         self.is_minimal = is_minimal
         self.failure_reason = failure_reason
+        self.shifts = shifts
 
     def __repr__(self):
         if self.is_presentation:
@@ -272,17 +277,18 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     primitive integer vectors, and g * M = 0 and M * h = 0 are checked once
     on the packed terms, in exact integers, under the budget; then g and h
     become monic Polynomials, for the report, u and the height. The column
-    subsets of g and h are read off h and g. At rank n-1 the cofactor
-    matrix C has rank 1 with columns in the span of g and rows in the span
-    of h, and as both are primitive, C = u * g * h^T for a polynomial u.
-    When shifts grade M and M has rank n-1 at p, the degrees give deg u;
-    if it is 0, u is the constant C_ic(p) / (g_i(p) * h_c(p)), C_ic(p)
-    read off the same elimination. Otherwise u is the quotient of one
-    (n-1)-minor. The test requires u to be a nonzero constant, and the
-    ideal of the h components to have height at least 3. Failures are
-    reported, never raised. The report is kept on M: a later call on the
-    same object returns it, whatever that call's budget. A run that
-    exceeds its budget keeps nothing.
+    subsets of g and h are read off h and g. The shifts that grade M, its
+    own or else those derived from g, are found once (_grading) and kept on
+    the report. At rank n-1 the cofactor matrix C has rank 1 with columns
+    in the span of g and rows in the span of h, and as both are primitive,
+    C = u * g * h^T for a polynomial u. When shifts grade M and M has rank
+    n-1 at p, the degrees give deg u; if it is 0, u is the constant C_ic(p)
+    / (g_i(p) * h_c(p)), C_ic(p) read off the same elimination. Otherwise u
+    is the quotient of one (n-1)-minor. The test requires u to be a nonzero
+    constant, and the ideal of the h components to have height at least 3.
+    Failures are reported, never raised. The report is kept on M: a later
+    call on the same object returns it, whatever that call's budget. A run
+    that exceeds its budget keeps nothing.
     """
     if "presentation" not in M._cache:
         M._cache["presentation"] = _presentation_report(M, budget)
@@ -304,7 +310,7 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
         g = _syzygy_generator(_vectors(rows, enc, scale), n, enc, budget)
     if g is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
-                                  FAIL_RANK)
+                                  FAIL_RANK, None)
     h = _syzygy_generator(_vectors(zip(*rows), enc, scale), n, enc, budget)
     _assert_annihilates(g, h, rows, enc, _Clock(budget, "annihilator check"))
     g, h = (_terms_to_polys(v, n, enc, v[0][2]) for v in (g, h))
@@ -319,7 +325,11 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
-    unit = _constant_unit(M, g, h, point, pivots, kernel)
+    try:
+        shifts = _grading(M, g)
+    except ValueError:
+        shifts = None
+    unit = _constant_unit(M, g, h, shifts, point, pivots, kernel)
     if unit is None:
         # the cofactor C_iq = (-1)^(i+q) * minor without row i and column q
         # is u * g_i * h_q, and g_i * h_q is nonzero
@@ -330,29 +340,30 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
         except ValueError:
             raise AssertionError("cofactor matrix is not u * g * h^T") from None
     if not unit.is_unit():
-        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT)
+        return PresentationReport(False, g, h, unit, None, is_minimal, FAIL_UNIT,
+                                  shifts)
     hJ = _height_or_inf([p for p in h if not p.is_zero()], M.ring, budget)
     if hJ < 3:
-        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT)
-    return PresentationReport(True, g, h, unit, hJ, is_minimal, None)
+        return PresentationReport(False, g, h, unit, hJ, is_minimal, FAIL_HEIGHT,
+                                  shifts)
+    return PresentationReport(True, g, h, unit, hJ, is_minimal, None, shifts)
 
 
-def _constant_unit(M: PolyMatrix, g, h, point, pivots, kernel):
+def _constant_unit(M: PolyMatrix, g, h, shifts, point, pivots, kernel):
     """u of C = u * g * h^T from degrees and M's values at the point, or
     None when that route does not decide it.
 
-    It decides when M has rank n-1 at the point p and shifts grade M. The
-    elimination of M(p) then leaves one column c outside its pivots, and
-    the vector v with v_i = (-1)^c * C_ic(p) (see left_kernel). C(p) =
-    u(p) * g(p) * h(p)^T is nonzero at that rank, so g(p) spans the left
-    kernel of M(p), as v does, and h(p) the right one, where column c is a
-    combination of the pivots: for v_i != 0, g_i(p) * h_c(p) != 0. g and h
-    are homogeneous, as generators of graded cyclic modules, so u is
+    It decides when M has rank n-1 at the point p and the report's shifts
+    grade M. The elimination of M(p) then leaves one column c outside its
+    pivots, and the vector v with v_i = (-1)^c * C_ic(p) (see left_kernel).
+    C(p) = u(p) * g(p) * h(p)^T is nonzero at that rank, so g(p) spans the
+    left kernel of M(p), as v does, and h(p) the right one, where column c
+    is a combination of the pivots: for v_i != 0, g_i(p) * h_c(p) != 0. g
+    and h are homogeneous, as generators of graded cyclic modules, so u is
     homogeneous of degree deg C_ic - deg g_i - deg h_c; when that is 0, u
     is the constant C_ic(p) / (g_i(p) * h_c(p)).
     """
-    shifts = None if kernel is None else _admitted_shifts(M, g)
-    if shifts is None:
+    if kernel is None or shifts is None:
         return None
     a, b = shifts
     n = M.rows
@@ -369,14 +380,22 @@ def _constant_unit(M: PolyMatrix, g, h, point, pivots, kernel):
     return M.ring.constant(Fraction(cofactor) / denominator)
 
 
-def _admitted_shifts(M: PolyMatrix, g):
-    """Shifts (a, b) that grade M, M's own or else derived from g, or None."""
+def _grading(M: PolyMatrix, g):
+    """The shifts (a, b) that grade M: M's own when it has both, or else
+    a_i = deg g_i and b_j the vector_degree of column j over a. A
+    ValueError, naming a grading inconsistency or an underdetermined
+    grading, says why there are none."""
     if M.row_shifts is not None and M.col_shifts is not None:
-        return (M.row_shifts, M.col_shifts) if check_graded(M) else None
-    try:
-        return _derive_shifts(M, g)
-    except ValueError:
-        return None
+        if not check_graded(M):
+            raise ValueError("grading inconsistency: the shifts do not grade the matrix")
+        return M.row_shifts, M.col_shifts
+    a = tuple(vector_degree((p,), (0,)) for p in g)
+    if None in a:
+        raise ValueError("grading underdetermined: zero component of g and no shifts")
+    b = tuple(vector_degree(M.column(j), a) for j in range(M.cols))
+    if None in b:
+        raise ValueError("grading underdetermined: zero column and no shifts")
+    return a, b
 
 
 def _minimal_presentation(M: PolyMatrix, budget: Budget | None, message: str):
@@ -398,38 +417,6 @@ def check_presentation_rect(M: PolyMatrix, budget: Budget | None = None) -> bool
     S = syzygies(IdealBasis(list(g.components), ring=M.ring), budget=budget)
     columns = column_module(M)
     return all(module_member(v, columns, budget=budget) for v in S.generators)
-
-
-def _derive_shifts(M: PolyMatrix, g):
-    """Generator and relation degrees (a, b) from gamma and entry degrees."""
-    n = M.rows
-    if M.row_shifts is not None and M.col_shifts is not None:
-        return list(M.row_shifts), list(M.col_shifts)
-    a = []
-    for p in g:
-        if p.is_zero():
-            raise ValueError("grading underdetermined: zero generator and no shifts")
-        if not p.is_homogeneous():
-            raise ValueError("grading inconsistency: generator not homogeneous")
-        a.append(p.degree())
-    b = []
-    for j in range(M.cols):
-        col_deg = None
-        for i in range(n):
-            e = M.entry(i, j)
-            if e.is_zero():
-                continue
-            if not e.is_homogeneous():
-                raise ValueError("grading inconsistency: entry not homogeneous")
-            d = a[i] + e.degree()
-            if col_deg is None:
-                col_deg = d
-            elif col_deg != d:
-                raise ValueError("grading inconsistency in column %d" % j)
-        if col_deg is None:
-            raise ValueError("zero column has no degree")
-        b.append(col_deg)
-    return a, b
 
 
 def _minors(M: PolyMatrix, size: int):
@@ -459,31 +446,32 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
 
     The chain is R(-s) -> (+)R(-b_j) -> (+)R(-a_i) -> R with maps given by
     the transposed annihilator as a column, M itself, and gamma(M) as a row;
-    s = sum(b) - sum(a). Exactness is certified by the rank and height
-    criteria specialized to this shape.
+    s = sum(b) - sum(a). a and b are the shifts the presentation report
+    found to grade M, so M is graded without a second look; the degrees of
+    g and h are checked against them. With no such shifts the ValueError
+    names the grading inconsistency or underdetermination. Exactness is
+    certified by the rank and height criteria specialized to this shape.
     """
     report = check_presentation(M, budget=budget)
     if not report.is_presentation:
         raise ValueError("not a presentation matrix: %s" % report.failure_reason)
     ring = M.ring
-    g = list(report.gamma.components)
-    h = list(report.gamma_transpose.components)
-    a, b = _derive_shifts(M, g)
+    g = report.gamma.components
+    h = report.gamma_transpose.components
+    # with no shifts on the report, _grading raises the reason
+    a, b = report.shifts or _grading(M, g)
     s = sum(b) - sum(a)
-    phi1 = PolyMatrix(ring, [g], row_shifts=(0,), col_shifts=tuple(a))
-    phi2 = PolyMatrix(ring, [list(row) for row in M.entries],
-                      row_shifts=tuple(a), col_shifts=tuple(b))
-    phi3 = PolyMatrix(ring, [[p] for p in h], row_shifts=tuple(b),
-                      col_shifts=(s,))
-    for m in (phi1, phi2, phi3):
+    phi1 = PolyMatrix(ring, [g], row_shifts=(0,), col_shifts=a)
+    phi2 = PolyMatrix(ring, M.entries, row_shifts=a, col_shifts=b)
+    phi3 = PolyMatrix(ring, [[p] for p in h], row_shifts=b, col_shifts=(s,))
+    for m in (phi1, phi3):
         if not check_graded(m):
             raise ValueError("grading inconsistency in the assembled chain")
     # the composites g * M and M * h vanish: the report checked both
     # exactness, specialized: gcd(gamma) = 1 gives height(I_M) >= 2; the
     # submaximal minors, the entries of C = u * g * h^T up to sign, have
     # gcd(g) * gcd(h) = 1; the row ideal height comes from the report
-    return GradedResolution(ring, [phi1, phi2, phi3],
-                            [tuple(a), tuple(b), (s,)],
+    return GradedResolution(ring, [phi1, phi2, phi3], [a, b, (s,)],
                             minimal=report.is_minimal)
 
 

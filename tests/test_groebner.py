@@ -42,6 +42,7 @@ from presmat import (
     verify_exactness,
 )
 from presmat import groebner as engine
+from presmat import matrices
 from presmat.groebner import module_normal_form
 from presmat.ring import exact_div, gcd as ring_gcd
 
@@ -1266,11 +1267,15 @@ def test_budget_rejects_monomial_caps_that_are_not_counts():
 
 
 def test_vector_degree():
+    # one grading rule, defined with the matrices and used by the engine
+    assert vector_degree is engine.vector_degree is matrices.vector_degree
     v = (parse("x^2", XYZ), parse("y", XYZ))
     assert vector_degree(v, (1, 2)) == 3
     assert vector_degree((XYZ.zero(), XYZ.zero()), (1, 2)) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grading inconsistency: vector is not"):
         vector_degree(v, (0, 0))
+    with pytest.raises(ValueError, match="^grading inconsistency: vector component"):
+        vector_degree((parse("x + y^2", XYZ),), (0,))
 
 
 def test_module_membership():

@@ -217,6 +217,51 @@ def test_check_graded_rejects_inhomogeneous_entry():
     assert not check_graded(M)
 
 
+def check_graded_by_entry(M):
+    """The entry-by-entry check_graded that the column rule replaced, kept
+    as its oracle."""
+    for i in range(M.rows):
+        for j in range(M.cols):
+            p = M.entries[i][j]
+            if p.is_zero():
+                continue
+            if not p.is_homogeneous():
+                return False
+            if p.degree() != M.col_shifts[j] - M.row_shifts[i]:
+                return False
+    return True
+
+
+def test_check_graded_matches_the_entry_by_entry_oracle():
+    # graded matrices spoilt by zero columns, inhomogeneous entries and
+    # shifts that are off by one
+    rng = random.Random(2323)
+    ring = RingContext(["x", "y", "z"])
+    kinds = {"zero column": 0, "inhomogeneous": 0, "off by one": 0, "graded": 0}
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = [rng.randint(0, 3) for _ in range(rows)]
+        b = [rng.randint(3, 5) for _ in range(cols)]
+        zero = rng.randrange(cols) if rng.random() < 0.3 else None
+        kinds["zero column"] += zero is not None
+        entries = [[ring.zero() if j == zero or rng.random() < 0.2
+                    else random_form(rng, ring, b[j] - a[i]) for j in range(cols)]
+                   for i in range(rows)]
+        if rng.random() < 0.2:
+            i, j = rng.randrange(rows), rng.randrange(cols)
+            entries[i][j] = entries[i][j] + random_form(rng, ring, b[j] - a[i] + 1)
+            kinds["inhomogeneous"] += 1
+        if rng.random() < 0.3:
+            shifts = a if rng.random() < 0.5 else b
+            shifts[rng.randrange(len(shifts))] += rng.choice((-1, 1))
+            kinds["off by one"] += 1
+        M = PolyMatrix(ring, entries, row_shifts=a, col_shifts=b)
+        graded = check_graded_by_entry(M)
+        assert check_graded(M) == graded
+        kinds["graded"] += graded
+    assert min(kinds.values()) >= 40, kinds
+
+
 def test_degree_matrix_needs_shifts():
     with pytest.raises(ValueError):
         degree_matrix(SQUARE4)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import oracle_det, random_form, random_poly
 from presmat import (
+    BettiSequence,
     Budget,
     BudgetExceeded,
     GradedResolution,
@@ -28,6 +29,7 @@ from presmat import (
     ideal_equal,
     minimal_free_resolution,
     minimal_generators,
+    nogaeta_extend,
     parse,
     pfaffians,
     rank,
@@ -1097,15 +1099,113 @@ def test_caller_shifts_that_do_not_grade_the_matrix(minor_runs):
     M = square4()
     bad = PolyMatrix(M.ring, M.entries, row_shifts=(2, 2, 2, 2), col_shifts=(3, 3, 3, 4))
     assert report_texts(check_presentation(bad)) == report_texts(check_presentation(M))
-    assert len(minor_runs) == 1
-    with pytest.raises(ValueError, match="grading inconsistency"):
+    assert len(minor_runs) == 1 and check_presentation(bad).shifts is None
+    with pytest.raises(ValueError, match="^grading inconsistency: the shifts do not grade"):
         build_resolution(bad)
+
+
+def grading_failures():
+    """(branch, presentation matrix, message) for each way _grading finds no
+    shifts that grade a presentation matrix with no shifts of its own
+    (test_caller_shifts_that_do_not_grade_the_matrix has the other). The
+    square4 variants come from it by unimodular row or column operations,
+    which keep the verdict."""
+    return [
+        # row 0 plus x * row 1: g_1 = x*t - x*z*t
+        ("generator", PolyMatrix.from_text(XYZT, [
+            ["y", "-x + x*z", "-x*y", "0"],
+            ["0", "z", "-y", "0"],
+            ["0", "0", "t", "-z"],
+            ["-t", "0", "0", "x"]]),
+         "grading inconsistency: vector component is not homogeneous"),
+        # column 0 plus (1 + x) * column 2
+        ("entry", PolyMatrix.from_text(XYZT, [
+            ["y", "-x", "0", "0"],
+            ["-y - x*y", "z", "-y", "0"],
+            ["t + x*t", "0", "t", "-z"],
+            ["-t", "0", "0", "x"]]),
+         "grading inconsistency: vector component is not homogeneous"),
+        # column 0 plus x * column 2
+        ("column", PolyMatrix.from_text(XYZT, [
+            ["y", "-x", "0", "0"],
+            ["-x*y", "z", "-y", "0"],
+            ["x*t", "0", "t", "-z"],
+            ["-t", "0", "0", "x"]]),
+         "grading inconsistency: vector is not homogeneous for the given shifts"),
+        # h = e_2, so the row ideal is the unit ideal
+        ("zero column", PolyMatrix.from_text(XYZ, [
+            ["x", "0", "0"], ["y", "x", "0"], ["0", "y", "0"]]),
+         "grading underdetermined: zero column and no shifts"),
+        # rows 0 and 1 agree, so g = (1, -1, 0)
+        ("zero component", PolyMatrix.from_text(XYZ, [
+            ["x", "1", "0"], ["x", "1", "0"], ["1", "0", "0"]]),
+         "grading underdetermined: zero component of g and no shifts"),
+    ]
+
+
+@pytest.mark.parametrize("branch, M, message", grading_failures(),
+                         ids=[case[0] for case in grading_failures()])
+def test_presentation_with_no_grading_has_no_resolution(minor_runs, branch, M,
+                                                        message):
+    rep = check_presentation(M)
+    assert rep.is_presentation and rep.shifts is None
+    assert len(minor_runs) == 1  # no degrees, so u comes from a minor
+    g = texts(rep.gamma)
+    if branch == "generator":
+        assert g == ["z*t", "-x*z*t + x*t", "x*y", "y*z"]
+    if branch in ("entry", "column"):
+        assert g == ["z*t", "x*t", "x*y", "y*z"]
+    if branch == "zero component":
+        assert g == ["1", "-1", "0"]
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        build_resolution(M)
+
+
+def test_zero_component_of_g_in_a_check(minor_runs):
+    # the transpose of the block extension has g = (0, x, y, z): no shifts
+    # grade it, so the check takes u from a minor before it fails on height
+    K = koszul(XYZ, *(parse(s, XYZ) for s in ("x", "y", "z")))
+    M = nogaeta_extend((K, BettiSequence([1, 1, 1], [2, 2, 2], 3)),
+                       BettiSequence([2, 2, 2, 3], [4, 3, 3, 3], 4), 4).transpose()
+    rep = check_presentation(M)
+    assert texts(rep.gamma) == ["0", "x", "y", "z"]
+    assert rep.failure_reason == FAIL_HEIGHT and rep.shifts is None
+    assert len(minor_runs) == 1
+    with pytest.raises(ValueError, match="zero component of g"):
+        presentation._grading(M, rep.gamma)
+
+
+@pytest.fixture
+def gradings(monkeypatch):
+    """The matrices the presentation layer runs _grading on."""
+    seen = []
+    grading = presentation._grading
+    monkeypatch.setattr(presentation, "_grading",
+                        lambda M, g: seen.append(M) or grading(M, g))
+    return seen
+
+
+def test_resolution_reads_the_shifts_of_the_report(sweep_matrices, gradings):
+    # the check finds the shifts once and keeps them on the report, and
+    # the resolution built after it takes them from there
+    S = square4()
+    matrices = [PolyMatrix(M.ring, M.entries) for M in sweep_matrices]
+    matrices.append(PolyMatrix(S.ring, S.entries, row_shifts=(2, 2, 2, 2),
+                               col_shifts=(3, 3, 3, 3)))
+    for M in matrices:
+        rep = check_presentation(M)
+        assert gradings == [M]
+        res = build_resolution(M)
+        assert gradings == [M]
+        assert rep.shifts == res.shifts[:2]
+        gradings.clear()
+    assert check_presentation(matrices[-1]).shifts == ((2,) * 4, (3,) * 4)
 
 
 def derives_shifts(M, rep):
     """Whether shifts derived from the report's g grade M."""
     try:
-        presentation._derive_shifts(M, rep.gamma)
+        presentation._grading(M, rep.gamma)
     except ValueError:
         return False
     return True
