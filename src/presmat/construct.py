@@ -6,7 +6,12 @@ regular row, column lifts by fresh variables, cyclic bidiagonal monomial
 families and their star products, the anti-diagonal block extension, and
 the induction that realizes homogeneous sequences. Every builder verifies
 its own output through the presentation checks instead of trusting the
-formulas.
+formulas. Lifts, star products and block extensions check the matrices
+they take and the one they return; homogeneous_matrix writes the last
+matrix of its chain in closed form and checks that one matrix when the
+chain has a star or lift step. Each
+report stays on its matrix, so a later step or build_resolution reads it
+instead of checking again.
 """
 
 from __future__ import annotations
@@ -307,29 +312,57 @@ def homogeneous_matrix(n: int, a: int, b: int,
                        budget: Budget | None = None) -> PolyMatrix:
     """Minimal presentation matrix realizing (a^n; b^n; n(b-a)).
 
-    Induction on b - a: the cyclic monomial family covers b - a = 1, star
-    products extend the window beyond the lift capacity, column lifts fill
-    the rest. Star inputs stay pure base/star chains; a lifted matrix is
-    only ever lifted again, so the disjointness requirement always holds.
+    The matrix is the end of the chain that homogeneous_plan lays out: the
+    cyclic monomial family covers b - a = 1, star products extend the window
+    beyond the lift capacity, column lifts fill the rest. Every entry along
+    that chain is a signed monomial, so the matrix is written in closed form.
+    Level L of the plan takes the fresh variables x^L_1..x^L_n, written y^L
+    for a lift level. With t_L the window of each base or star level L,
+
+        diag_i      =  prod_L x^L_{(i + t_L) mod n} * prod_lifts y^L_i,
+        superdiag_i = -prod_L x^L_i * prod_lifts y^L_i,
+
+    and the other entries are zero. A star level's variables go before the
+    ring it extends and a lift level's after, as RingContext.extend orders
+    them along the chain. A matrix of more than one level is checked once,
+    by one presentation report, which stays on the matrix; its shifts must
+    be (a^n, b^n). A plan of one base level gives base_bidiagonal's cyclic
+    family, which is returned unchecked, as the chain returned it.
     """
     steps = homogeneous_plan(n, a, b)
-    def fresh(letter_index):
-        letter = _LEVEL_LETTERS[letter_index % len(_LEVEL_LETTERS)]
-        suffix = letter_index // len(_LEVEL_LETTERS)
+    names, windows, lifts = [], [], []
+    for level, step in enumerate(steps):  # each level takes fresh variables
+        letter = _LEVEL_LETTERS[level % len(_LEVEL_LETTERS)]
+        suffix = level // len(_LEVEL_LETTERS)
         stem = letter if not suffix else "%s%d" % (letter, suffix)
-        return ["%s%d" % (stem, i + 1) for i in range(n)]
-
-    current = None
-    for level, step in enumerate(steps):  # each step takes fresh variables
-        if step[0] == "base":
-            current = base_bidiagonal(n, step[1], fresh(level))
-        elif step[0] == "star":
-            extra = base_bidiagonal(n, step[1], fresh(level))
-            current = star_product(extra, current, budget=budget)
+        fresh = ["%s%d" % (stem, i + 1) for i in range(n)]
+        if step[0] == "lift":
+            names = names + fresh
+            lifts.append(fresh)
         else:
-            mat = current.matrix() if isinstance(current, BidiagonalMatrix) else current
-            current = lift_matrix(mat, [1] * n, fresh(level), budget=budget)
-    return current.matrix() if isinstance(current, BidiagonalMatrix) else current
+            names = fresh + names
+            windows.append((fresh, step[1]))
+    ring = RingContext(tuple(names))
+    index = {v: k for k, v in enumerate(names)}
+
+    def monomial(variables, coeff):
+        e = [0] * len(names)
+        for v in variables:
+            e[index[v]] = 1
+        return ring.monomial(e, coeff)
+
+    zero = ring.zero()
+    entries = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        ys = [y[i] for y in lifts]
+        entries[i][i] = monomial([x[(i + t) % n] for x, t in windows] + ys, 1)
+        entries[i][(i + 1) % n] = monomial([x[i] for x, _ in windows] + ys, -1)
+    M = PolyMatrix(ring, entries)
+    if len(steps) > 1:  # a lone base level is base_bidiagonal's family, unchecked
+        report = _minimal_presentation(
+            M, budget, "constructed matrix is not a minimal presentation matrix")
+        assert report.shifts == ((a,) * n, (b,) * n)
+    return M
 
 
 def nogaeta_extend(inner, outer_shape: BettiSequence, t: int,

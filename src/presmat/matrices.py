@@ -7,12 +7,10 @@ column, so its pivot columns are the lexicographically first full-rank
 column subset. Eliminating [A | I] with pivots in A's columns only gives
 those pivot columns and, at rank rows - 1, all signed maximal minors of
 the pivot columns (the left kernel vector) in the identity part of the
-leftover row. The cofactor matrix of an n x n matrix is built from n of
-those, one per deleted column, instead of n^2 determinants. The same
-elimination runs on a matrix of numbers, such as the values of a matrix
-at a point (value_left_kernel). Pfaffians
-expand recursively along the first row, which is fine at the sizes that
-occur here.
+leftover row. The same elimination runs on a matrix of numbers, such as
+the values of a matrix at a point (value_left_kernel). Pfaffians expand
+recursively along the first row, which is fine at the sizes that occur
+here.
 """
 
 from __future__ import annotations
@@ -312,25 +310,6 @@ def _left_kernel(rows, one, zero, div, weight):
         return pivots, None
     tail = a[-1][m:]
     return pivots, tail if sign * (-1) ** (n - 1) == 1 else [-p for p in tail]
-
-
-def cofactor_matrix(M: PolyMatrix) -> PolyMatrix:
-    """C_ij = (-1)^(i+j) * minor deleting row i and column j.
-
-    Column j is (-1)^j times the left kernel vector of M with column j
-    deleted, or zero when that n x (n-1) matrix has rank below n - 1, so
-    the matrix costs n eliminations rather than n^2 determinants.
-    """
-    if not M.is_square():
-        raise ValueError("cofactor matrix of a non-square matrix")
-    n = M.rows
-    if n == 1:
-        return PolyMatrix(M.ring, [[M.ring.one()]])
-    cols = []
-    for j in range(n):
-        v = left_kernel(M.delete(col=j))[1] or [M.ring.zero()] * n
-        cols.append(v if j % 2 == 0 else [-p for p in v])
-    return PolyMatrix(M.ring, zip(*cols))
 
 
 # -- pfaffians ---------------------------------------------------------------

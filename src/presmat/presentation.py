@@ -18,7 +18,6 @@ from .groebner import (
     BudgetExceeded,
     GradedResolution,
     IdealBasis,
-    ModuleBasis,
     UnitIdealError,
     _Clock,
     _Encoding,
@@ -31,7 +30,6 @@ from .groebner import (
     intersect,
     member_with_cofactors,
     minimal_generators,
-    module_member,
     quotient,
     syzygies,
 )
@@ -404,19 +402,6 @@ def _minimal_presentation(M: PolyMatrix, budget: Budget | None, message: str):
     if not (report.is_presentation and report.is_minimal):
         raise ValueError(message)
     return report
-
-
-def column_module(M: PolyMatrix) -> ModuleBasis:
-    cols = [tuple(M.entry(i, j) for i in range(M.rows)) for j in range(M.cols)]
-    return ModuleBasis(M.rows, cols, ring=M.ring)
-
-
-def check_presentation_rect(M: PolyMatrix, budget: Budget | None = None) -> bool:
-    """Every syzygy on gamma(M) must lie in the column module of M."""
-    g = gamma(M, budget=budget)  # raises unless rank is rows - 1
-    S = syzygies(IdealBasis(list(g.components), ring=M.ring), budget=budget)
-    columns = column_module(M)
-    return all(module_member(v, columns, budget=budget) for v in S.generators)
 
 
 def _minors(M: PolyMatrix, size: int):

@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded random polynomial generators,
-the determinant oracle and the paper's uniform sweep matrices."""
+the determinant and cofactor oracles and the paper's uniform sweep matrices."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from presmat.matrices import PolyMatrix, left_kernel
 from presmat.ring import Polynomial, RingContext
 
 
@@ -65,6 +66,25 @@ def oracle_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def cofactor_matrix(M: PolyMatrix) -> PolyMatrix:
+    """C_ij = (-1)^(i+j) * minor deleting row i and column j.
+
+    Column j is (-1)^j times the left kernel vector of M with column j
+    deleted, or zero when that n x (n-1) matrix has rank below n - 1, so
+    the matrix costs n eliminations rather than n^2 determinants.
+    """
+    if not M.is_square():
+        raise ValueError("cofactor matrix of a non-square matrix")
+    n = M.rows
+    if n == 1:
+        return PolyMatrix(M.ring, [[M.ring.one()]])
+    cols = []
+    for j in range(n):
+        v = left_kernel(M.delete(col=j))[1] or [M.ring.zero()] * n
+        cols.append(v if j % 2 == 0 else [-p for p in v])
+    return PolyMatrix(M.ring, zip(*cols))
 
 
 def to_sympy(sympy, p: Polynomial, symbols):

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from conftest import cofactor_matrix
 from presmat import (
     BettiSequence,
+    Budget,
+    BudgetExceeded,
     IdealBasis,
     PolyMatrix,
     RingContext,
@@ -18,7 +21,9 @@ from presmat import (
     parse,
     zeta,
 )
+from presmat.betti import ESSENTIAL, classify_homogeneous
 from presmat.construct import (
+    BidiagonalMatrix,
     HilbertBurchData,
     base_bidiagonal,
     hilbert_burch_ideal,
@@ -29,9 +34,10 @@ from presmat.construct import (
     prop_bet,
     star_product,
 )
-from presmat.matrices import cofactor_matrix, det
+from presmat.matrices import det
 from presmat.presentation import FAIL_UNIT
 from presmat.ring import embed
+from test_acceptance import _uniform_construction_cases
 
 XYZ = RingContext(("x", "y", "z"))
 SIX = RingContext(("x", "y", "z", "u", "v", "w"))
@@ -336,6 +342,70 @@ def test_homogeneous_matrix_rejects_out_of_range():
         homogeneous_matrix(4, 5, 8)
     with pytest.raises(ValueError):
         homogeneous_matrix(3, 2, 2)
+
+
+_LEVEL_LETTERS = ("x", "y", "z", "u", "v", "w", "p", "q")
+
+
+def chain_homogeneous_matrix(n, a, b, budget=None):
+    """homogeneous_matrix built step by step along its plan, the oracle of
+    the closed form: a base family, star products, then lifts, each step
+    checking the matrices it takes and the one it returns."""
+    steps = homogeneous_plan(n, a, b)
+    def fresh(letter_index):
+        letter = _LEVEL_LETTERS[letter_index % len(_LEVEL_LETTERS)]
+        suffix = letter_index // len(_LEVEL_LETTERS)
+        stem = letter if not suffix else "%s%d" % (letter, suffix)
+        return ["%s%d" % (stem, i + 1) for i in range(n)]
+
+    current = None
+    for level, step in enumerate(steps):  # each step takes fresh variables
+        if step[0] == "base":
+            current = base_bidiagonal(n, step[1], fresh(level))
+        elif step[0] == "star":
+            extra = base_bidiagonal(n, step[1], fresh(level))
+            current = star_product(extra, current, budget=budget)
+        else:
+            mat = current.matrix() if isinstance(current, BidiagonalMatrix) else current
+            current = lift_matrix(mat, [1] * n, fresh(level), budget=budget)
+    return current.matrix() if isinstance(current, BidiagonalMatrix) else current
+
+
+def essential_box():
+    """Every Essential (n, a, b) with 3 <= n <= 7, 1 <= b - a <= 4, a < 4n."""
+    return [(n, a, a + gap) for n in range(3, 8) for gap in range(1, 5)
+            for a in range(1, 4 * n)
+            if classify_homogeneous(n, a, a + gap).status == ESSENTIAL]
+
+
+def test_closed_form_matches_the_chain():
+    cases = essential_box()
+    assert len(cases) == 90
+    assert len(homogeneous_plan(3, 9, 18)) == 9  # past the eight letters
+    for case in cases + [(3, 9, 18)]:
+        want, got = chain_homogeneous_matrix(*case), homogeneous_matrix(*case)
+        assert got.ring.variables == want.ring.variables, case
+        assert [texts(row) for row in got.entries] == \
+            [texts(row) for row in want.entries], case
+        assert got.entries == want.entries, case
+    assert "x11" in homogeneous_matrix(3, 9, 18).ring.variables
+
+
+def test_closed_form_resolves_as_the_chain_on_the_sweep():
+    for n, a, b in _uniform_construction_cases():
+        M = homogeneous_matrix(n, a, b)
+        assert check_presentation(M).shifts == ((a,) * n, (b,) * n)
+        got = build_resolution(M)
+        want = build_resolution(chain_homogeneous_matrix(n, a, b))
+        assert got.shifts == want.shifts, (n, a, b)
+        assert [m.entries for m in got.maps] == [m.entries for m in want.maps]
+        assert [[texts(row) for row in m.entries] for m in got.maps] == \
+            [[texts(row) for row in m.entries] for m in want.maps]
+
+
+def test_homogeneous_matrix_budget_reaches_its_check():
+    with pytest.raises(BudgetExceeded):
+        homogeneous_matrix(5, 4, 6, budget=Budget(max_monomials=0))
 
 
 # -- block extensions ----------------------------------------------------------------

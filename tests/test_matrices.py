@@ -8,12 +8,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_sympy, oracle_det, random_form, random_poly, to_sympy
+from conftest import cofactor_matrix, from_sympy, oracle_det, random_form, random_poly, to_sympy
 from presmat.matrices import (
     DegreeMatrix,
     PolyMatrix,
     check_graded,
-    cofactor_matrix,
     degree_matrix,
     det,
     left_kernel,

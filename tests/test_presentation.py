@@ -7,20 +7,18 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_det, random_form, random_poly
+from conftest import cofactor_matrix, oracle_det, random_form, random_poly
 from presmat import (
     BettiSequence,
     Budget,
     BudgetExceeded,
     GradedResolution,
     IdealBasis,
+    ModuleBasis,
     PolyMatrix,
     RingContext,
     build_resolution,
     check_presentation,
-    check_presentation_rect,
-    cofactor_matrix,
-    column_module,
     decompose,
     gamma,
     gcd,
@@ -29,6 +27,7 @@ from presmat import (
     ideal_equal,
     minimal_free_resolution,
     minimal_generators,
+    module_member,
     nogaeta_extend,
     parse,
     pfaffians,
@@ -247,6 +246,19 @@ def test_check_rejects_nonsquare_and_tiny():
         check_presentation(PolyMatrix.from_text(XYZ, [["x", "y"]]))
     with pytest.raises(ValueError):
         check_presentation(PolyMatrix.from_text(XYZ, [["x"]]))
+
+
+def column_module(M: PolyMatrix) -> ModuleBasis:
+    cols = [tuple(M.entry(i, j) for i in range(M.rows)) for j in range(M.cols)]
+    return ModuleBasis(M.rows, cols, ring=M.ring)
+
+
+def check_presentation_rect(M: PolyMatrix, budget: Budget | None = None) -> bool:
+    """Every syzygy on gamma(M) must lie in the column module of M."""
+    g = gamma(M, budget=budget)  # raises unless rank is rows - 1
+    S = syzygies(IdealBasis(list(g.components), ring=M.ring), budget=budget)
+    columns = column_module(M)
+    return all(module_member(v, columns, budget=budget) for v in S.generators)
 
 
 def test_check_rect_syzygy_block():
@@ -1450,8 +1462,9 @@ def test_equal_matrix_and_transpose_run_their_own_checks(syzygy_runs):
 
 
 @pytest.mark.parametrize("case, runs", [
-    ((3, 3, 5), 4),  # base, lift: the lift's input and output
-    ((3, 2, 4), 6),  # base, star: both factors and the product
+    ((3, 3, 5), 2),  # base, lift: the constructed matrix alone
+    ((3, 2, 4), 2),  # base, star
+    ((3, 4, 7), 2),  # base, star, lift
 ])
 def test_construction_and_resolution_check_each_matrix_once(syzygy_runs, case,
                                                             runs):
