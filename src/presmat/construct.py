@@ -9,9 +9,8 @@ its own output through the presentation checks instead of trusting the
 formulas. Lifts, star products and block extensions check the matrices
 they take and the one they return; homogeneous_matrix writes the last
 matrix of its chain in closed form and checks that one matrix when the
-chain has a star or lift step. Each
-report stays on its matrix, so a later step or build_resolution reads it
-instead of checking again.
+chain has a star or lift step. Each report stays on its matrix, so a
+later step or build_resolution reads it instead of checking again.
 """
 
 from __future__ import annotations
