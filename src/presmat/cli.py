@@ -13,10 +13,9 @@ the sha256 of exactly the bytes that ran.
 
 Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
 variable, which beats the library default of 60 seconds. Each internal
-Groebner step gets the budget, the syzygy runs of gamma and the colon
-ideal behind each polynomial gcd included, except in minimal free
-resolutions, whose steps get the seconds that remain of it. The budget
-must be positive and finite.
+Groebner step gets the budget, the syzygy runs of gamma included, except
+in minimal free resolutions, whose steps get the seconds that remain of
+it. The budget must be positive and finite.
 """
 
 from __future__ import annotations
@@ -495,7 +494,7 @@ _CONSTRUCT_KINDS = {
 
 def _cmd_construct(args, doc, budget, timings):
     kind = doc.get("construct")
-    handler = _CONSTRUCT_KINDS.get(kind)
+    handler = _CONSTRUCT_KINDS.get(kind) if isinstance(kind, str) else None
     if handler is None:
         raise CliError('"construct" must be one of: %s'
                        % ", ".join(sorted(_CONSTRUCT_KINDS)))
@@ -516,9 +515,18 @@ def _fixture_bytes(name: str, fixtures_dir: str | None) -> bytes:
     return ref.read_bytes()
 
 
+def _expected(doc, *keys) -> dict:
+    """The fixture's "expect" object, which must hold keys."""
+    expect = doc.get("expect")
+    if not isinstance(expect, dict) or not all(k in expect for k in keys):
+        raise CliError('fixture needs "expect": {%s}'
+                       % ", ".join('"%s": ...' % k for k in keys))
+    return expect
+
+
 def _scenario_matrix_check(doc, budget, timings):
     M = _matrix_from(doc)
-    expect = doc["expect"]
+    expect = _expected(doc, "gamma", "check", "transpose_check")
     report = check_presentation(M, budget=budget)
     vec = report.gamma
     transposed = check_presentation(M.transpose(), budget=budget)
@@ -538,7 +546,7 @@ def _scenario_matrix_check(doc, budget, timings):
 
 def _scenario_ideal_resolution(doc, budget, timings):
     I = _ideal_from(doc)
-    expect = doc["expect"]["betti"]
+    expect = _expected(doc, "betti")["betti"]
     res = minimal_free_resolution(I, budget=budget)
     a, b, s = res.betti()
     got = {"a": list(a), "b": list(b), "s": s}
@@ -548,7 +556,7 @@ def _scenario_ideal_resolution(doc, budget, timings):
 
 def _scenario_sequence_classification(doc, budget, timings):
     seq = _sequence_from(doc)
-    expect = doc["expect"]["verdict"]
+    expect = _expected(doc, "verdict")["verdict"]
     verdict = classify(seq)
     status, witness = _verdict_payload(verdict)
     checks = {"verdict": status == expect}
@@ -558,7 +566,7 @@ def _scenario_sequence_classification(doc, budget, timings):
 
 def _scenario_height_then_resolution(doc, budget, timings):
     I = _ideal_from(doc)
-    expect = doc["expect"]
+    expect = _expected(doc, "height", "betti")
     budgets = doc.get("budgets", {})
     required = Budget(seconds=float(budgets.get("required_seconds", 300)))
     stretch = Budget(seconds=float(budgets.get("stretch_seconds", 1800)))
@@ -594,7 +602,8 @@ _SCENARIOS = {
 
 
 def _cmd_verify_paper_example(args, doc, budget, timings):
-    runner = _SCENARIOS.get(doc.get("scenario"))
+    scenario = doc.get("scenario")
+    runner = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if runner is None:
         raise CliError("fixture %r has no runnable scenario" % args.name)
     checks, result = runner(doc, budget, timings)
@@ -617,9 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="presentation matrices, graded resolutions, and Betti "
                     "sequence classification")
     top.add_argument("--budget-seconds", type=float, default=None,
-                     help="seconds for each internal Groebner step, gcd "
-                          "steps included, or for a whole minimal resolution "
-                          "(overrides %s)"
+                     help="seconds for each internal Groebner step, or for "
+                          "a whole minimal resolution (overrides %s)"
                           % BUDGET_ENV)
     top.add_argument("--format", choices=("json", "text"), default="json",
                      help="report format (default json)")

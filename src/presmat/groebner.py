@@ -1,6 +1,7 @@
 """Groebner engine: normal forms, membership with cofactors, dimension and
-height, Hilbert functions, intersection/quotient, module bases, syzygies,
-and minimal graded free resolutions.
+height, Hilbert functions, intersection/quotient and the polynomial gcd
+built on it, module bases, syzygies, the syzygy runs of a packed matrix
+that the presentation test reads, and minimal graded free resolutions.
 
 One engine serves ideals and submodules of free modules, and so does the
 API above it: an IdealBasis is the rank-1 module of its generators, with
@@ -10,10 +11,12 @@ order is position-over-term (e_0 > e_1 > ...) refined by the ring order.
 Internally the engine is fraction-free: an element is a list of (key, pack,
 coefficient) terms with integer coefficients, where key and pack are
 integers linear in the exponents (see _Encoding), and basis elements are
-kept primitive. Normal forms reduce a heap of keys by r <- a*r - b*x^s*g and
-report the integer scale they applied. Inputs are cleared of denominators
-on the way in, and results are divided back on the way out, so callers see
-the same Fraction polynomials, monic where a reduced basis is returned.
+kept primitive. That format is known to this module alone: _packed is the
+one conversion of a Polynomial into terms, and _terms_to_polys the way
+back. Normal forms reduce a heap of keys by r <- a*r - b*x^s*g and report
+the integer scale they applied. Inputs are cleared of denominators on the
+way in, and results are divided back on the way out, so callers see the
+same Fraction polynomials, monic where a reduced basis is returned.
 One completion loop, _complete, serves bases, prunes and intersections:
 it runs Buchberger with the Gebauer-Moller pair criteria, taking pairs by
 sugar degree from a heap, to the end or through a given sugar. Every run is
@@ -43,7 +46,7 @@ import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
-from math import comb, gcd, inf, lcm
+from math import comb, gcd as igcd, inf, lcm
 from operator import add, sub
 from struct import Struct
 
@@ -319,22 +322,31 @@ def _mono_add(a, b):
     return tuple(map(add, a, b))
 
 
+def _packed(p: Polynomial, enc: _Encoding, scale: int) -> list:
+    """The (key, pack, c) terms of scale * p at position 0, sorted by falling
+    key, with integer c; scale is a multiple of p's denominators. This is
+    the one conversion of a Polynomial into engine terms."""
+    return sorted(((*enc.term(0, m), c.numerator * (scale // c.denominator))
+                   for m, c in p.terms.items()), reverse=True)
+
+
+def _vectors(rows, enc: _Encoding, scale: int) -> list:
+    """The (terms, scale) engine vector of each row of packed entries, entry
+    j at position j. Positions order the keys first, so the concatenation of
+    the entries, each sorted by falling key, is too."""
+    pos_key, pos_bits = enc.pos_key, enc.pos_bits
+    return [([(k - j * pos_key, p + (j << pos_bits), c)
+              for j, terms in enumerate(row) for k, p, c in terms], scale)
+            for row in rows]
+
+
 def _vecs_from_columns(vs, enc: _Encoding) -> list:
     """(terms, L) per column vector v: the integer terms of L*v, sorted by
     falling key, with L the least common denominator of v's coefficients."""
     out = []
     for v in vs:
-        scale = 1
-        for comp in v:
-            for c in comp.terms.values():
-                scale = lcm(scale, c.denominator)
-        terms = []
-        for pos, comp in enumerate(v):
-            for m, c in comp.terms.items():
-                key, pack = enc.term(pos, m)
-                terms.append((key, pack, c.numerator * (scale // c.denominator)))
-        terms.sort(reverse=True)
-        out.append((terms, scale))
+        scale = lcm(*{c.denominator for comp in v for c in comp.terms.values()})
+        out += _vectors([[_packed(comp, enc, scale) for comp in v]], enc, scale)
     return out
 
 
@@ -370,7 +382,7 @@ def _tag_part(v: list, rank: int, enc: _Encoding) -> list:
 def _primitive(v: list):
     """v divided by the gcd of its coefficients, signed so that the lead
     is positive, and that divisor."""
-    g = gcd(*[c for _k, _p, c in v])
+    g = igcd(*[c for _k, _p, c in v])
     if v[0][2] < 0:
         g = -g
     if g == 1:
@@ -478,7 +490,7 @@ class _Basis:
                 continue
             elem = self.elems[hit]
             lk, _lp, lc = elem[0]
-            g = gcd(c, lc)
+            g = igcd(c, lc)
             a, b = lc // g, c // g
             if a != 1:
                 acc = {kk: cc * a for kk, cc in acc.items()}
@@ -515,7 +527,7 @@ def _s_vector(basis: _Basis, i: int, j: int, clock: _Clock) -> list:
     mi, mj = basis.leads[i][1], basis.leads[j][1]
     lcm = _mono_lcm(mi, mj)
     ci, cj = basis.elems[i][0][2], basis.elems[j][0][2]
-    g = gcd(ci, cj)
+    g = igcd(ci, cj)
     ai, aj = cj // g, ci // g
     clock.tick(basis.sizes[i] + basis.sizes[j])
     kui, pui = basis.enc.term(0, _mono_sub(lcm, mi))
@@ -847,6 +859,26 @@ def quotient(I: IdealBasis, f: Polynomial, budget: Budget | None = None) -> Idea
     return IdealBasis([exact_div(g, f) for g in meet.generators], ring=I.ring)
 
 
+def gcd(p: Polynomial, q: Polynomial, budget: Budget | None = None) -> Polynomial:
+    """GCD normalized to leading coefficient 1; gcd(p, 0) = monic p.
+
+    Every divisor of a monomial is a monomial, so against a monomial the
+    gcd is the exponent-wise minimum over both supports. Otherwise it is
+    p / r for the generator r of the colon ideal (p) : q = (p / gcd(p, q)),
+    which quotient computes under the budget.
+    """
+    if p.ring != q.ring:
+        raise ValueError("mismatched rings")
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        return p.ring.monomial(map(min, *p.terms, *q.terms))
+    (r,) = quotient(IdealBasis([p]), q, budget=budget).generators
+    return exact_div(p, r).monic()
+
+
 def ideal_contains(A: IdealBasis, B: IdealBasis, budget: Budget | None = None) -> bool:
     """Every generator of B lies in A."""
     return all(member(g, A, budget=budget) for g in B.generators)
@@ -979,6 +1011,112 @@ def _syzygy_vectors(tracked: _Basis) -> list:
 def _syz_rank(v: list, enc: _Encoding):  # (degree of its terms, lead, support)
     support = sorted((p >> enc.pos_bits, enc.mono(p)) for _k, p, _c in v)
     return (max(sum(m) for _pos, m in support), v[0][0], support)
+
+
+# -- packed matrices ----------------------------------------------------------
+
+def _pack(M: PolyMatrix):
+    """(enc, rows, scale): the entries of scale * M as engine terms, in one
+    pass, scale the least common denominator of M's coefficients. rows[i][j]
+    lists the (key, pack, c) of entry (i, j) at position 0, sorted by
+    falling key, with integer c. scale * M has the syzygies of M, and with
+    scale as every input's tag (see _tagged) a tracked run stores the
+    primitive elements it stores on inputs cleared one by one."""
+    enc = _Encoding(M.ring)
+    scale = lcm(*{c.denominator for row in M.entries for p in row
+                  for c in p.terms.values()})
+    return enc, [[_packed(p, enc, scale) for p in row] for row in M.entries], scale
+
+
+def _add_product(total: dict, a, b, guard: int):
+    """Add the product of the packed polynomials a and b, (key, pack, c)
+    terms with packs at position 0 (keys are not read), into total (pack ->
+    c). A packed product is the sum of the packs; one whose exponents reach
+    the engine's limit sets a guard bit, and raises BudgetExceeded rather
+    than wrap."""
+    get = total.get
+    for _kb, pb, cb in b:
+        for _ka, pa, ca in a:
+            p = pa + pb
+            if p & guard:
+                raise BudgetExceeded("exponent beyond the Groebner engine's range")
+            total[p] = get(p, 0) + ca * cb
+
+
+def _assert_annihilates(g: list, h: list, rows, enc: _Encoding, clock: _Clock):
+    """g * M = 0 and M * h = 0 for the primitive engine vectors g and h and
+    the packed entries rows of a multiple of M, with exact integers, one dict
+    per column (row); zero factors are skipped, and each product of a and b
+    is charged len(a) * len(b) to clock."""
+    n, low = len(rows), enc.low
+    g_parts, h_parts = ([[] for _ in range(n)] for _ in range(2))
+    for v, parts in ((g, g_parts), (h, h_parts)):
+        for k, p, c in v:
+            parts[p >> enc.pos_bits].append((k, p & low, c))
+    sums = [[(g_parts[i], rows[i][j]) for i in range(n)] for j in range(n)]
+    sums += [[(h_parts[j], rows[i][j]) for j in range(n)] for i in range(n)]
+    for pairs in sums:
+        total: dict = {}
+        for a, b in pairs:
+            if a and b:
+                clock.tick(len(a) * len(b))
+                _add_product(total, a, b, enc.guard)
+        if any(total.values()):
+            raise AssertionError("annihilator check failed; rank computation is off")
+
+
+def _syzygy_generator(vectors: list, rank: int, enc: _Encoding,
+                      budget: Budget | None):
+    """The generator of the syzygy module of the (terms, scale) engine
+    vectors, in the free module of the given rank, when that module is
+    cyclic and nonzero, as a primitive integer vector with a positive lead;
+    else None.
+
+    A cyclic module R*v has the reduced Groebner basis {v}, since every
+    element f*v has lead term lt(f)*lt(v); so a module with a one-element
+    reduced basis is cyclic and one with more is not. The relations of one
+    tracked run generate the module (see syzygies); when there are several,
+    their reduced basis decides. Either way the vector is the one syzygies
+    and groebner_basis return monic.
+    """
+    syz = _syzygy_vectors(_run(vectors, rank, enc, _Clock(budget, "syzygies"), True))
+    if len(syz) > 1:
+        clock = _Clock(budget, "module groebner basis")
+        syz = _reduce_basis(_run([(v, 1) for v in syz], len(vectors), enc, clock,
+                                 False), clock).elems
+    return syz[0] if len(syz) == 1 else None
+
+
+def _row_generator(M: PolyMatrix, budget: Budget | None):
+    """(g, related) for M packed once (_pack). g generates the syzygies of
+    the rows of M when they are cyclic and nonzero, as Polynomials with a
+    monic lead, else it is None; related(cols) tells whether a tracked run
+    of the columns cols of M finds a relation among them."""
+    enc, rows, scale = _pack(M)
+    g = _syzygy_generator(_vectors(rows, enc, scale), M.cols, enc, budget)
+    columns = _vectors(zip(*rows), enc, scale)
+
+    def related(cols) -> bool:
+        return bool(_run([columns[c] for c in cols], M.rows, enc,
+                         _Clock(budget, "syzygies"), True).relations)
+
+    return (None if g is None else _terms_to_polys(g, M.rows, enc, g[0][2])), related
+
+
+def _row_and_column_generators(M: PolyMatrix, budget: Budget | None):
+    """(g, h) for the square M packed once (_pack): the generators of the
+    syzygies of its rows and of its columns, as Polynomials with a monic
+    lead; None when those of the rows are not cyclic and nonzero. g * M = 0
+    and M * h = 0 are checked first on the packed terms, in exact integers,
+    under the budget."""
+    enc, rows, scale = _pack(M)
+    n = M.rows
+    g = _syzygy_generator(_vectors(rows, enc, scale), n, enc, budget)
+    if g is None:
+        return None
+    h = _syzygy_generator(_vectors(zip(*rows), enc, scale), n, enc, budget)
+    _assert_annihilates(g, h, rows, enc, _Clock(budget, "annihilator check"))
+    return tuple(_terms_to_polys(v, n, enc, v[0][2]) for v in (g, h))
 
 
 # -- resolutions --------------------------------------------------------------

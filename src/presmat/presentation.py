@@ -1,6 +1,10 @@
 """Presentation-matrix analysis: the annihilator row gamma, the presentation
-test, the length-3 graded resolution it induces, exactness verification,
-the zeta invariant, and the minor/row ideal decomposition.
+test of the structure theorem (rank n-1, C = u * g * h^T for a unit u, and
+a row ideal of height at least 3), the length-3 graded resolution it
+induces, the zeta invariant, and the minor/row ideal decomposition. The
+syzygy runs behind g and h, on M packed once into the Groebner engine's
+integer terms, are the engine's (groebner._row_generator and
+groebner._row_and_column_generators).
 
 Heights stand in for depths throughout: over the graded polynomial ring the
 grade of an ideal equals its height, so every depth hypothesis below is
@@ -10,48 +14,35 @@ checked as a height (the Koszul examples in the tests pin this down).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count
-from math import lcm
+from itertools import count
 
 from .groebner import (
     Budget,
-    BudgetExceeded,
     GradedResolution,
     IdealBasis,
     UnitIdealError,
-    _Clock,
-    _Encoding,
-    _reduce_basis,
-    _run,
-    _syzygy_vectors,
-    _terms_to_polys,
+    _row_and_column_generators,
+    _row_generator,
     height,
     ideal_equal,
     intersect,
     member_with_cofactors,
     minimal_generators,
     quotient,
-    syzygies,
 )
 from .matrices import (
     PolyMatrix,
     check_graded,
     left_kernel,
     minor,
-    rank,
     value_left_kernel,
     vector_degree,
 )
-from .ring import exact_div, gcd
+from .ring import exact_div
 
 FAIL_RANK = "rank_not_n_minus_1"
 FAIL_UNIT = "cofactor_unit_not_constant"
 FAIL_HEIGHT = "height_of_row_ideal_below_3"
-
-# CLI output, and it holds with no gcd taken: a generator of the cyclic
-# syzygy module is primitive, since a common factor could be divided out of
-# it, and the engine makes its first nonzero component monic
-_NORMALIZATION = "gcd removed; first nonzero component monic"
 
 
 class GammaVector:
@@ -61,14 +52,15 @@ class GammaVector:
     agree up to a unit agree literally.
     """
 
-    __slots__ = ("components", "source", "column_subset", "normalization_note")
+    __slots__ = ("components", "column_subset")
+    # CLI output, and it holds with no gcd taken: a generator of the cyclic
+    # syzygy module is primitive, since a common factor could be divided out
+    # of it, and the engine makes its first nonzero component monic
+    normalization_note = "gcd removed; first nonzero component monic"
 
-    def __init__(self, components, source: PolyMatrix, column_subset,
-                 normalization_note: str):
+    def __init__(self, components, column_subset):
         self.components = tuple(components)
-        self.source = source
         self.column_subset = tuple(column_subset)
-        self.normalization_note = normalization_note
 
     def __iter__(self):
         return iter(self.components)
@@ -88,91 +80,6 @@ class GammaVector:
         return "GammaVector(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _pack(M: PolyMatrix):
-    """(enc, rows, scale): the entries of scale * M as engine terms, in one
-    pass, scale the least common denominator of M's coefficients. rows[i][j]
-    lists the (key, pack, c) of entry (i, j) at position 0, sorted by
-    falling key, with integer c. scale * M has the syzygies of M, and with
-    scale as every input's tag (see groebner._tagged) a tracked run stores
-    the primitive elements it stores on inputs cleared one by one."""
-    enc = _Encoding(M.ring)
-    scale = lcm(*{c.denominator for row in M.entries for p in row
-                  for c in p.terms.values()})
-    rows = [[sorted(((*enc.term(0, m), c.numerator * (scale // c.denominator))
-                     for m, c in p.terms.items()), reverse=True) for p in row]
-            for row in M.entries]
-    return enc, rows, scale
-
-
-def _vectors(rows, enc: _Encoding, scale: int) -> list:
-    """The (terms, scale) engine vector of each row of packed entries, entry
-    j at position j. Positions order the keys first, so the concatenation of
-    the entries, each sorted by falling key, is too."""
-    pos_key, pos_bits = enc.pos_key, enc.pos_bits
-    return [([(k - j * pos_key, p + (j << pos_bits), c)
-              for j, terms in enumerate(row) for k, p, c in terms], scale)
-            for row in rows]
-
-
-def _add_product(total: dict, a, b, guard: int):
-    """Add the product of the packed polynomials a and b, (key, pack, c)
-    terms with packs at position 0 (keys are not read), into total (pack ->
-    c). A packed product is the sum of the packs; one whose exponents reach
-    the engine's limit sets a guard bit, and raises BudgetExceeded rather
-    than wrap."""
-    get = total.get
-    for _kb, pb, cb in b:
-        for _ka, pa, ca in a:
-            p = pa + pb
-            if p & guard:
-                raise BudgetExceeded("exponent beyond the Groebner engine's range")
-            total[p] = get(p, 0) + ca * cb
-
-
-def _assert_annihilates(g: list, h: list, rows, enc: _Encoding, clock: _Clock):
-    """g * M = 0 and M * h = 0 for the primitive engine vectors g and h and
-    the packed entries rows of a multiple of M, with exact integers, one dict
-    per column (row); zero factors are skipped, and each product of a and b
-    is charged len(a) * len(b) to clock."""
-    n, low = len(rows), enc.low
-    g_parts, h_parts = ([[] for _ in range(n)] for _ in range(2))
-    for v, parts in ((g, g_parts), (h, h_parts)):
-        for k, p, c in v:
-            parts[p >> enc.pos_bits].append((k, p & low, c))
-    sums = [[(g_parts[i], rows[i][j]) for i in range(n)] for j in range(n)]
-    sums += [[(h_parts[j], rows[i][j]) for j in range(n)] for i in range(n)]
-    for pairs in sums:
-        total: dict = {}
-        for a, b in pairs:
-            if a and b:
-                clock.tick(len(a) * len(b))
-                _add_product(total, a, b, enc.guard)
-        if any(total.values()):
-            raise AssertionError("annihilator check failed; rank computation is off")
-
-
-def _syzygy_generator(vectors: list, rank: int, enc: _Encoding,
-                      budget: Budget | None):
-    """The generator of the syzygy module of the (terms, scale) engine
-    vectors, in the free module of the given rank, when that module is
-    cyclic and nonzero, as a primitive integer vector with a positive lead;
-    else None.
-
-    A cyclic module R*v has the reduced Groebner basis {v}, since every
-    element f*v has lead term lt(f)*lt(v); so a module with a one-element
-    reduced basis is cyclic and one with more is not. The relations of one
-    tracked run generate the module (see groebner.syzygies); when there are
-    several, their reduced basis decides. Either way the vector is the one
-    syzygies and groebner_basis return monic.
-    """
-    syz = _syzygy_vectors(_run(vectors, rank, enc, _Clock(budget, "syzygies"), True))
-    if len(syz) > 1:
-        clock = _Clock(budget, "module groebner basis")
-        syz = _reduce_basis(_run([(v, 1) for v in syz], len(vectors), enc, clock,
-                                 False), clock).elems
-    return syz[0] if len(syz) == 1 else None
-
-
 # the first primes, one per variable, where distinct monomials differ
 def _evaluation_point(ring):
     primes = [2]
@@ -190,13 +97,11 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
     each shown independent of those before it by full rank at one rational
     point or else by a syzygy run; g does not depend on the choice.
     """
-    enc, rows, scale = _pack(M)
-    g = _syzygy_generator(_vectors(rows, enc, scale), M.cols, enc, budget)
+    g, related = _row_generator(M, budget)
     if g is None:
         raise ValueError("gamma needs rank exactly rows - 1")
     if M.rows < 2:  # a zero row has that rank, and g = (1,)
         raise ValueError("gamma needs at least two rows")
-    columns = _vectors(zip(*rows), enc, scale)
     point = _evaluation_point(M.ring)
     at_point = [[p.evaluate(point) for p in row] for row in M.entries]
     chosen = []
@@ -207,12 +112,9 @@ def gamma(M: PolyMatrix, budget: Budget | None = None) -> GammaVector:
         # no relation
         if len(chosen) < M.rows - 1 and (
                 len(value_left_kernel([[row[c] for c in cols] for row in at_point])[0])
-                == len(cols)
-                or not _run([columns[c] for c in cols], M.rows, enc,
-                            _Clock(budget, "syzygies"), True).relations):
+                == len(cols) or not related(cols)):
             chosen.append(j)
-    return GammaVector(_terms_to_polys(g, M.rows, enc, g[0][2]), M, chosen,
-                       _NORMALIZATION)
+    return GammaVector(g, chosen)
 
 
 class PresentationReport:
@@ -269,7 +171,8 @@ def check_presentation(M: PolyMatrix, budget: Budget | None = None) -> Presentat
     of rank 1 over a factorial ring if the rank is n-1, so it is free,
     generated by the primitive g. M is packed once into the Groebner
     engine's integer terms, as a multiple of M with no denominator, and
-    its rows and columns feed the two syzygy runs. Those of the rows, the
+    its rows and columns feed the two syzygy runs, both in the engine
+    (groebner._row_and_column_generators). Those of the rows, the
     run gamma(M) makes too, are the cyclic module R*g at rank n-1, and of
     rank 2 or more below; those of the columns give h. Both come back as
     primitive integer vectors, and g * M = 0 and M * h = 0 are checked once
@@ -301,25 +204,19 @@ def _presentation_report(M: PolyMatrix, budget: Budget | None) -> PresentationRe
     point = _evaluation_point(M.ring)
     pivots, kernel = value_left_kernel([[p.evaluate(point) for p in row]
                                         for row in M.entries])
-    g = None
     # full rank at p proves full rank; a rank deficit at p proves nothing
-    if len(pivots) < n:
-        enc, rows, scale = _pack(M)
-        g = _syzygy_generator(_vectors(rows, enc, scale), n, enc, budget)
-    if g is None:
+    annihilators = _row_and_column_generators(M, budget) if len(pivots) < n else None
+    if annihilators is None:
         return PresentationReport(False, None, None, None, None, is_minimal,
                                   FAIL_RANK, None)
-    h = _syzygy_generator(_vectors(zip(*rows), enc, scale), n, enc, budget)
-    _assert_annihilates(g, h, rows, enc, _Clock(budget, "annihilator check"))
-    g, h = (_terms_to_polys(v, n, enc, v[0][2]) for v in (g, h))
+    g, h = annihilators
     # the greedy pivot columns of M leave out the last column that the
     # relation h among the columns involves, and those of M^T the last row
     # that g involves
     q = max(j for j in range(n) if not h[j].is_zero())
     last = max(i for i in range(n) if not g[i].is_zero())
-    g = GammaVector(g, M, [j for j in range(n) if j != q], _NORMALIZATION)
-    h = GammaVector(h, M.transpose(), [i for i in range(n) if i != last],
-                    _NORMALIZATION)
+    g = GammaVector(g, [j for j in range(n) if j != q])
+    h = GammaVector(h, [i for i in range(n) if i != last])
     # the chain is minimal only if the annihilator entries avoid units too
     is_minimal = is_minimal and all(p.constant_term() == 0 for p in g) \
         and all(p.constant_term() == 0 for p in h)
@@ -404,28 +301,6 @@ def _minimal_presentation(M: PolyMatrix, budget: Budget | None, message: str):
     return report
 
 
-def _minors(M: PolyMatrix, size: int):
-    """The minors of M of the given size, one per pair of row and column
-    subsets, computed as they are consumed."""
-    for rows in combinations(range(M.rows), size):
-        for cols in combinations(range(M.cols), size):
-            yield minor(M, rows, cols)
-
-
-def _minor_gcd_is_unit(M: PolyMatrix, size: int, budget: Budget | None) -> bool:
-    """True when the minors of the given size have unit gcd (height >= 2).
-
-    Over a factorial ring the ideal they generate has height at least 2
-    exactly when no common factor survives; accumulate and stop early.
-    """
-    common = M.ring.zero()
-    for p in _minors(M, size):
-        common = gcd(common, p, budget=budget)
-        if common.is_unit():
-            return True
-    return False
-
-
 def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResolution:
     """Length-3 graded resolution of R/I_M for a presentation matrix M.
 
@@ -458,62 +333,6 @@ def build_resolution(M: PolyMatrix, budget: Budget | None = None) -> GradedResol
     # gcd(g) * gcd(h) = 1; the row ideal height comes from the report
     return GradedResolution(ring, [phi1, phi2, phi3], [a, b, (s,)],
                             minimal=report.is_minimal)
-
-
-class ExactnessReport:
-    __slots__ = ("stages", "exact")
-
-    def __init__(self, stages):
-        self.stages = tuple(stages)
-        self.exact = all(ok for (_label, ok, _detail) in self.stages)
-
-    def __repr__(self):
-        body = "; ".join("%s:%s" % (label, "ok" if ok else "FAIL (%s)" % detail)
-                         for label, ok, detail in self.stages)
-        return "ExactnessReport(%s)" % body
-
-
-def verify_exactness(res: GradedResolution, budget: Budget | None = None) -> ExactnessReport:
-    """Rank and height criteria for exactness of a finite free chain.
-
-    For maps phi_1, ..., phi_L (rightmost first) the chain is exact away
-    from the augmentation iff rank(phi_k) + rank(phi_{k+1}) equals the rank
-    of the shared module and the rank-sized minor ideal of phi_k has height
-    at least k. Composites must already vanish; that precondition raises.
-    """
-    maps = res.maps
-    if not maps:
-        raise ValueError("empty chain")
-    for k in range(len(maps) - 1):
-        if not (maps[k] @ maps[k + 1]).is_zero():
-            raise ValueError("composite at stage %d is nonzero" % (k + 1))
-    ranks = [rank(m) for m in maps]
-    stages = []
-    for k in range(len(maps)):
-        expected = len(res.shifts[k])  # rank of the source module F_{k+1}
-        nxt = ranks[k + 1] if k + 1 < len(maps) else 0
-        stages.append(("rank at F_%d" % (k + 1), nxt + ranks[k] == expected,
-                       "%d + %d vs %d" % (ranks[k], nxt, expected)))
-    for k, m in enumerate(maps):
-        depth_needed = k + 1
-        r = ranks[k]
-        if depth_needed == 1:
-            ok = r >= 1
-            detail = "nonzero map"
-        elif depth_needed == 2:
-            ok = _minor_gcd_is_unit(m, r, budget)
-            detail = "gcd of %d-minors" % r
-        else:
-            gens = [p for p in _minors(m, r) if not p.is_zero()]
-            if not gens:
-                ok = False
-                ht = 0
-            else:
-                ht = _height_or_inf(gens, m.ring, budget)
-                ok = ht >= depth_needed
-            detail = "height %s needs >= %d" % (ht, depth_needed)
-        stages.append(("height at map %d" % (k + 1), ok, detail))
-    return ExactnessReport(stages)
 
 
 class ZetaReport:

@@ -488,7 +488,7 @@ def parse(text: str, ring: RingContext) -> Polynomial:
     return _Parser(text, ring).parse()
 
 
-# -- division and gcd -------------------------------------------------------
+# -- division ---------------------------------------------------------------
 
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """Quotient p/q when the division is exact; raises ValueError otherwise.
@@ -541,24 +541,3 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
             else:
                 del rem[mm]
     return Polynomial(ring, quot)
-
-
-def gcd(p: Polynomial, q: Polynomial, budget=None) -> Polynomial:
-    """GCD normalized to leading coefficient 1; gcd(p, 0) = monic p.
-
-    Every divisor of a monomial is a monomial, so against a monomial the
-    gcd is the exponent-wise minimum over both supports. Otherwise it is
-    p / r for the generator r of the colon ideal (p) : q = (p / gcd(p, q)),
-    which the Groebner engine computes under budget (a groebner.Budget).
-    """
-    if p.ring != q.ring:
-        raise ValueError("mismatched rings")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        return p.ring.monomial(map(min, *p.terms, *q.terms))
-    from .groebner import IdealBasis, quotient  # groebner imports this module
-    (r,) = quotient(IdealBasis([p]), q, budget=budget).generators
-    return exact_div(p, r).monic()

@@ -21,6 +21,7 @@ from presmat.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_UNKNOWN,
+    PAPER_EXAMPLES,
     main,
 )
 
@@ -366,6 +367,51 @@ def test_input_errors_exit_one(tmp_path, capsys):
     code, report = invoke(capsys, "betti-classify")
     assert code == EXIT_ERROR
     assert "one input" in report["result"]["error"]
+
+
+def test_construct_kind_must_be_a_name(tmp_path, capsys):
+    # a list is no key of the table of kinds; looking it up raised TypeError
+    path = write(tmp_path, "c.json",
+                 {"construct": ["homogeneous"], "n": 5, "a": 3, "b": 4})
+    code, report = invoke(capsys, "construct", path)
+    assert (code, report["verdict"]) == (EXIT_ERROR, "error")
+    assert report["result"]["error"].startswith('"construct" must be one of')
+
+
+def fixtures_dir(tmp_path, name, **fields):
+    """A fixtures directory holding the packaged fixture of the named example
+    with fields set, or removed where the value is None."""
+    doc = json.loads(resources.files("presmat").joinpath("fixtures/%s.json" % name)
+                     .read_text(encoding="utf-8"))
+    for key, value in fields.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    folder = tmp_path / "fixtures"
+    folder.mkdir()
+    write(folder, name + ".json", doc)
+    return str(folder)
+
+
+def test_fixture_scenario_must_be_a_name(tmp_path, capsys):
+    folder = fixtures_dir(tmp_path, "square-4", scenario=["matrix-check"])
+    code, report = invoke(capsys, "verify-paper-example", "square-4",
+                          "--fixtures-dir", folder)
+    assert (code, report["verdict"]) == (EXIT_ERROR, "error")
+    assert "no runnable scenario" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("expect", [None, ["confirmed"], {}],
+                         ids=["missing", "list", "no-keys"])
+@pytest.mark.parametrize("name", PAPER_EXAMPLES)
+def test_fixture_expect_must_be_an_object_with_its_keys(tmp_path, capsys, name,
+                                                        expect):
+    folder = fixtures_dir(tmp_path, name, expect=expect)
+    code, report = invoke(capsys, "verify-paper-example", name,
+                          "--fixtures-dir", folder)
+    assert (code, report["verdict"]) == (EXIT_ERROR, "error")
+    assert report["result"]["error"].startswith('fixture needs "expect"')
 
 
 # a non-graded 3x3 presentation matrix whose row ideal is the unit ideal,

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
 from conftest import from_sympy, random_form, random_poly, to_sympy
+from exactness_oracle import verify_exactness
 from koszul_oracle import KoszulOracle, assert_koszul_agrees, resolution_betti
 from presmat import (
     Budget,
@@ -39,12 +40,12 @@ from presmat import (
     quotient,
     syzygies,
     vector_degree,
-    verify_exactness,
 )
 from presmat import groebner as engine
 from presmat import matrices
+from presmat.groebner import gcd as poly_gcd
 from presmat.groebner import module_normal_form
-from presmat.ring import exact_div, gcd as ring_gcd
+from presmat.ring import exact_div
 
 XYZ = RingContext(("x", "y", "z"))
 XYZT = RingContext(("x", "y", "z", "t"))
@@ -396,7 +397,7 @@ def elimination_intersect(I, J):
 
 
 def elimination_gcd(p, q):
-    """gcd(p, q) for non-monomial p and q, as ring.gcd builds it, with the
+    """gcd(p, q) for non-monomial p and q, as groebner.gcd builds it, with the
     colon ideal (p) : q taken from the elimination oracle."""
     (m,) = elimination_intersect(IdealBasis([p]), IdealBasis([q])).generators
     return exact_div(p, exact_div(m, q)).monic()
@@ -442,7 +443,7 @@ def test_intersection_quotient_and_gcd_match_the_elimination_route():
         assert strs(intersect(I, J)) == strs(elimination_intersect(I, J))
         assert strs(quotient(I, f)) == [
             str(exact_div(g, f)) for g in elimination_intersect(I, IdealBasis([f])).generators]
-        assert str(ring_gcd(p, q)) == str(elimination_gcd(p, q))
+        assert str(poly_gcd(p, q)) == str(elimination_gcd(p, q))
 
 
 @pytest.mark.parametrize("order", ["lex", ("elim", 1), ("elim", 2)],
@@ -467,7 +468,7 @@ def test_intersection_in_other_orders_is_reduced_in_that_order(order):
             I, IdealBasis([f])).generators], ring=ring))
         assert [g * f for g in colon.generators] == list(
             intersect(I, IdealBasis([f])).generators)
-        assert str(ring_gcd(p, q)) == str(elimination_gcd(p, q))
+        assert str(poly_gcd(p, q)) == str(elimination_gcd(p, q))
     assert differ > 0
 
 
@@ -1195,7 +1196,7 @@ def common_factor_matrix():
                                     budget=b),
     lambda b: height(twisted_cubic(), budget=b),
     lambda b: hilbert_function(twisted_cubic(), 3, budget=b),
-    lambda b: ring_gcd(parse("(x*z - y^2)*(x + t)", XYZT),
+    lambda b: poly_gcd(parse("(x*z - y^2)*(x + t)", XYZT),
                        parse("(x*z - y^2)*(y - t)", XYZT), budget=b),
     lambda b: gamma(common_factor_matrix(), budget=b),
 ], ids=["intersect", "minimal_generators", "module_minimal_generators",
@@ -1329,6 +1330,54 @@ def test_encoding_orders_and_divides_like_the_ring():
                 assert enc.term(1, tuple(x + y for x, y in zip(s, t))) == (ks + kt, ps + pt)
     with pytest.raises(BudgetExceeded):
         engine._Encoding(XYZ).term(0, (1 << 31, 0, 0))
+
+
+def sorted_vecs_from_columns(vs, enc):
+    """The engine vectors (terms, L) of the column vectors vs, L the least
+    common denominator of v's coefficients, each term made at its own
+    position and the terms of L*v sorted once: the conversion before one
+    packing served columns and matrices alike, kept as its oracle."""
+    out = []
+    for v in vs:
+        scale = 1
+        for comp in v:
+            for c in comp.terms.values():
+                scale = lcm(scale, c.denominator)
+        terms = []
+        for pos, comp in enumerate(v):
+            for m, c in comp.terms.items():
+                key, pack = enc.term(pos, m)
+                terms.append((key, pack, c.numerator * (scale // c.denominator)))
+        terms.sort(reverse=True)
+        out.append((terms, scale))
+    return out
+
+
+def test_one_packing_serves_columns_and_matrices():
+    # the engine vectors of the columns of M, and of the rows and columns
+    # of the packed L * M, against the oracle: rational entries, zeros
+    # among them, at three to five positions
+    rng = random.Random(61)
+    zeros = fractions = 0
+    for order in ("grevlex", "lex", ("elim", 2)):
+        ring = RingContext(("x", "y", "z", "t"), order=order)
+        for _ in range(20):
+            n, m = rng.randint(3, 5), rng.randint(3, 5)
+            M = PolyMatrix(ring, [[random_poly(rng, ring) for _ in range(m)]
+                                  for _ in range(n)])
+            enc, rows, scale = engine._pack(M)
+            columns = [M.column(j) for j in range(M.cols)]
+            assert engine._vecs_from_columns(columns, enc) == \
+                sorted_vecs_from_columns(columns, enc)
+            scaled = [[p * scale for p in row] for row in M.entries]
+            for packed, entries in ((rows, scaled), (zip(*rows), zip(*scaled))):
+                want = sorted_vecs_from_columns(list(entries), enc)
+                assert {one for _terms, one in want} <= {1}
+                assert engine._vectors(packed, enc, scale) == \
+                    [(terms, scale) for terms, _one in want]
+            zeros += sum(p.is_zero() for row in M.entries for p in row)
+            fractions += scale > 1
+    assert zeros and fractions
 
 
 def check_nf_identity(basis, v, rank, columns):

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from conftest import cofactor_matrix, oracle_det, random_form, random_poly
+from exactness_oracle import verify_exactness
 from presmat import (
     BettiSequence,
     Budget,
@@ -33,10 +34,9 @@ from presmat import (
     pfaffians,
     rank,
     syzygies,
-    verify_exactness,
     zeta,
 )
-from presmat import presentation
+from presmat import groebner, matrices, presentation
 from presmat.groebner import _EXP_LIMIT as EXP_LIMIT
 from presmat.groebner import _Encoding as Encoding
 from presmat.groebner import _syzygy_vectors, _terms_to_polys
@@ -824,7 +824,8 @@ def test_gamma_ranks_its_candidate_columns_on_numbers(monkeypatch):
     # the rank at the point comes from one elimination of the evaluated
     # numbers per candidate column; the polynomial rank never runs
     ranked = []
-    monkeypatch.setattr(presentation, "rank", ranked.append)
+    monkeypatch.setattr(matrices, "rank", ranked.append)
+    assert not hasattr(presentation, "rank")  # so a call would reach the spy
     rng = random.Random(17)
     for _ in range(30):
         M = sparse_dependency(rng, rng.randint(2, 5))
@@ -1000,7 +1001,7 @@ def test_gamma_decides_columns_dependent_at_the_point_by_syzygies(monkeypatch):
     M = PolyMatrix(XYZ, [[a[i], z * a[i], b[i]] for i in range(3)])
     assert [p.evaluate(point) for p in a] == [p.evaluate(point) for p in b]
     runs = []
-    run = presentation._run
+    run = groebner._run
 
     def spy(vectors, rank, enc, clock, track):
         B = run(vectors, rank, enc, clock, track)
@@ -1008,7 +1009,7 @@ def test_gamma_decides_columns_dependent_at_the_point_by_syzygies(monkeypatch):
             runs.append((len(vectors), len(_syzygy_vectors(B))))
         return B
 
-    monkeypatch.setattr(presentation, "_run", spy)
+    monkeypatch.setattr(groebner, "_run", spy)
     g = gamma(M)
     assert runs[1:] == [(2, 1), (2, 0)]  # after the run on the rows
     assert g.column_subset == (0, 2)
@@ -1300,17 +1301,17 @@ def test_full_rank_at_the_point_runs_no_syzygies(syzygy_runs):
 
 def row_syzygy_generator(M, budget=None):
     """_syzygy_generator on the packed rows of M."""
-    enc, rows, scale = presentation._pack(M)
-    return presentation._syzygy_generator(presentation._vectors(rows, enc, scale),
-                                          M.cols, enc, budget)
+    enc, rows, scale = groebner._pack(M)
+    return groebner._syzygy_generator(groebner._vectors(rows, enc, scale),
+                                      M.cols, enc, budget)
 
 
 def test_annihilator_check_runs_under_the_budget(monkeypatch):
     # the syzygy runs get no budget here, so the products g * M and M * h
     # are the first step that can exceed it
     M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
-    syzygy_generator = presentation._syzygy_generator
-    monkeypatch.setattr(presentation, "_syzygy_generator",
+    syzygy_generator = groebner._syzygy_generator
+    monkeypatch.setattr(groebner, "_syzygy_generator",
                         lambda vectors, rank, enc, budget:
                         syzygy_generator(vectors, rank, enc, None))
     with pytest.raises(BudgetExceeded, match="annihilator check"):
@@ -1325,7 +1326,7 @@ def test_packed_check_rejects_a_corrupted_annihilator(monkeypatch, corrupted):
     # by 1: g' = g + x^m e_i and g' * M picks up x^m times row i of M, which
     # is nonzero, and likewise for h and a column
     M = koszul(XYZ, *(parse(p, XYZ) for p in ("x + y", "y + z", "x + z")))
-    generator = presentation._syzygy_generator
+    generator = groebner._syzygy_generator
     calls = []
 
     def corrupt(vectors, rank, enc, budget):
@@ -1336,7 +1337,7 @@ def test_packed_check_rejects_a_corrupted_annihilator(monkeypatch, corrupted):
         calls.append(v)
         return v
 
-    monkeypatch.setattr(presentation, "_syzygy_generator", corrupt)
+    monkeypatch.setattr(groebner, "_syzygy_generator", corrupt)
     with pytest.raises(AssertionError, match="annihilator check failed"):
         check_presentation(M)
     assert len(calls) == 2
@@ -1352,11 +1353,11 @@ def test_packed_product_raises_at_the_exponent_limit():
     x_half = [enc.term(0, (half, 0, 0)) + (1,)]
     x_below = [enc.term(0, (half - 1, 0, 0)) + (3,)]
     total = {}
-    presentation._add_product(total, x_half, x_below, enc.guard)
+    groebner._add_product(total, x_half, x_below, enc.guard)
     assert total == {enc.term(0, (EXP_LIMIT - 1, 0, 0))[1]: 3}
     for a, b in ((x_half, x_half), (x_below + x_half, [enc.term(0, (half, 1, 0)) + (2,)])):
         with pytest.raises(BudgetExceeded, match="exponent"):
-            presentation._add_product({}, a, b, enc.guard)
+            groebner._add_product({}, a, b, enc.guard)
 
 
 def test_rational_matrix_keeps_its_report():
@@ -1415,13 +1416,13 @@ def syzygy_runs(monkeypatch):
     of Polynomial vectors: a check runs one on the rows of M and one on its
     columns, each packed as engine vectors of a multiple of M."""
     seen = []
-    generator = presentation._syzygy_generator
+    generator = groebner._syzygy_generator
 
     def spy(vectors, rank, enc, budget):
         seen.append(tuple(_terms_to_polys(v, rank, enc, scale) for v, scale in vectors))
         return generator(vectors, rank, enc, budget)
 
-    monkeypatch.setattr(presentation, "_syzygy_generator", spy)
+    monkeypatch.setattr(groebner, "_syzygy_generator", spy)
     return seen
 
 

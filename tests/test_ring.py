@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import from_sympy, random_form, random_poly, to_sympy
+from presmat import gcd
 from presmat.ring import (
     NEG_INF,
     ParseError,
@@ -18,7 +19,6 @@ from presmat.ring import (
     RingContext,
     embed,
     exact_div,
-    gcd,
     parse,
 )
 from presmat.ring import _tokenize
