@@ -15,7 +15,8 @@ Budgets: --budget-seconds beats the PRESMAT_BUDGET_SECONDS environment
 variable, which beats the library default of 60 seconds. Each internal
 Groebner step gets the budget, the syzygy runs of gamma included, except
 in minimal free resolutions, whose steps get the seconds that remain of
-it. The budget must be positive and finite.
+it. verify-paper-example runs every fixture under this one budget. The
+budget must be positive and finite.
 """
 
 from __future__ import annotations
@@ -248,11 +249,11 @@ def _resolution_payload(res) -> dict:
 
 
 # -- command handlers ------------------------------------------------------------
-# each takes (args, doc, budget, timings), doc being the decoded input, and
+# each takes (args, doc, budget), doc being the decoded input, and
 # returns (verdict, result, witness, exit_code)
 
 
-def _cmd_gamma(args, doc, budget, timings):
+def _cmd_gamma(args, doc, budget):
     M = _matrix_from(doc)
     vec = gamma(M, budget=budget)
     result = {
@@ -282,7 +283,7 @@ def _not_presentation(report):
         {"failure_reason": report.failure_reason}, EXIT_NEGATIVE
 
 
-def _cmd_check(args, doc, budget, timings):
+def _cmd_check(args, doc, budget):
     M = _matrix_from(doc)
     if args.transpose:
         M = M.transpose()
@@ -292,7 +293,7 @@ def _cmd_check(args, doc, budget, timings):
     return "presentation", _check_payload(report), None, EXIT_OK
 
 
-def _cmd_resolve(args, doc, budget, timings):
+def _cmd_resolve(args, doc, budget):
     if "matrix" in doc:
         M = _matrix_from(doc)
         report = check_presentation(M, budget=budget)
@@ -307,7 +308,7 @@ def _cmd_resolve(args, doc, budget, timings):
     return "resolved", _resolution_payload(res), None, EXIT_OK
 
 
-def _cmd_zeta(args, doc, budget, timings):
+def _cmd_zeta(args, doc, budget):
     M = _matrix_from(doc)
     report = check_presentation(M, budget=budget)
     if not report.is_presentation:
@@ -322,7 +323,7 @@ def _cmd_zeta(args, doc, budget, timings):
     return "ok", result, None, EXIT_OK
 
 
-def _cmd_decompose(args, doc, budget, timings):
+def _cmd_decompose(args, doc, budget):
     B = _matrix_from(doc)
     report = decompose(B, budget=budget)
     result = {
@@ -339,7 +340,7 @@ def _cmd_decompose(args, doc, budget, timings):
     return "decomposed", result, None, EXIT_OK
 
 
-def _cmd_betti_classify(args, doc, budget, timings):
+def _cmd_betti_classify(args, doc, budget):
     if (args.input is None) == (args.homogeneous is None):
         raise CliError("betti-classify takes one input: a file or --homogeneous N A B")
     if args.homogeneous is not None:
@@ -355,7 +356,7 @@ def _cmd_betti_classify(args, doc, budget, timings):
     return status, result, witness, _status_exit(status)
 
 
-def _cmd_betti_reduce(args, doc, budget, timings):
+def _cmd_betti_reduce(args, doc, budget):
     seq = _sequence_from(doc)
     residue, total, verdict = classify_gaeta_reduce(seq)
     status, witness = _verdict_payload(verdict)
@@ -368,7 +369,7 @@ def _cmd_betti_reduce(args, doc, budget, timings):
     return status, result, witness, _status_exit(status)
 
 
-def _cmd_betti_lift(args, doc, budget, timings):
+def _cmd_betti_lift(args, doc, budget):
     seq = _sequence_from(doc)
     exponents = _integers(doc.get("exponents"), "exponents")
     lifted = lift(seq, exponents)
@@ -492,7 +493,7 @@ _CONSTRUCT_KINDS = {
 }
 
 
-def _cmd_construct(args, doc, budget, timings):
+def _cmd_construct(args, doc, budget):
     kind = doc.get("construct")
     handler = _CONSTRUCT_KINDS.get(kind) if isinstance(kind, str) else None
     if handler is None:
@@ -524,7 +525,7 @@ def _expected(doc, *keys) -> dict:
     return expect
 
 
-def _scenario_matrix_check(doc, budget, timings):
+def _scenario_matrix_check(doc, budget):
     M = _matrix_from(doc)
     expect = _expected(doc, "gamma", "check", "transpose_check")
     report = check_presentation(M, budget=budget)
@@ -544,17 +545,21 @@ def _scenario_matrix_check(doc, budget, timings):
     return checks, result
 
 
-def _scenario_ideal_resolution(doc, budget, timings):
+def _scenario_ideal_resolution(doc, budget):
     I = _ideal_from(doc)
-    expect = _expected(doc, "betti")["betti"]
-    res = minimal_free_resolution(I, budget=budget)
-    a, b, s = res.betti()
-    got = {"a": list(a), "b": list(b), "s": s}
-    checks = {"betti": got == expect}
-    return checks, {"checks": checks, "betti": got}
+    expect = _expected(doc, "betti")
+    checks = {}
+    result = {"checks": checks}
+    if "height" in expect:
+        result["height"] = height(I, budget=budget)
+        checks["height"] = result["height"] == expect["height"]
+    a, b, s = minimal_free_resolution(I, budget=budget).betti()
+    result["betti"] = {"a": list(a), "b": list(b), "s": s}
+    checks["betti"] = result["betti"] == expect["betti"]
+    return checks, result
 
 
-def _scenario_sequence_classification(doc, budget, timings):
+def _scenario_sequence_classification(doc, budget):
     seq = _sequence_from(doc)
     expect = _expected(doc, "verdict")["verdict"]
     verdict = classify(seq)
@@ -564,49 +569,19 @@ def _scenario_sequence_classification(doc, budget, timings):
     return checks, result
 
 
-def _scenario_height_then_resolution(doc, budget, timings):
-    I = _ideal_from(doc)
-    expect = _expected(doc, "height", "betti")
-    budgets = doc.get("budgets", {})
-    required = Budget(seconds=float(budgets.get("required_seconds", 300)))
-    stretch = Budget(seconds=float(budgets.get("stretch_seconds", 1800)))
-    if budget is not None:
-        required = stretch = budget
-
-    started = time.monotonic()
-    h = height(I, budget=required)
-    timings["height_seconds"] = round(time.monotonic() - started, 3)
-    checks = {"height": h == expect["height"]}
-    result = {"checks": checks, "height": h}
-
-    started = time.monotonic()
-    try:
-        res = minimal_free_resolution(I, budget=stretch)
-    except BudgetExceeded as exc:
-        result["stretch"] = {"outcome": "budget_exceeded", "detail": str(exc)}
-    else:
-        a, b, s = res.betti()
-        got = {"a": list(a), "b": list(b), "s": s}
-        checks["betti"] = got == expect["betti"]
-        result["stretch"] = {"outcome": "completed", "betti": got}
-    timings["resolution_seconds"] = round(time.monotonic() - started, 3)
-    return checks, result
-
-
 _SCENARIOS = {
     "matrix-check": _scenario_matrix_check,
     "ideal-resolution": _scenario_ideal_resolution,
     "sequence-classification": _scenario_sequence_classification,
-    "height-then-resolution": _scenario_height_then_resolution,
 }
 
 
-def _cmd_verify_paper_example(args, doc, budget, timings):
+def _cmd_verify_paper_example(args, doc, budget):
     scenario = doc.get("scenario")
     runner = _SCENARIOS.get(scenario) if isinstance(scenario, str) else None
     if runner is None:
         raise CliError("fixture %r has no runnable scenario" % args.name)
-    checks, result = runner(doc, budget, timings)
+    checks, result = runner(doc, budget)
     result["example"] = args.name
     if all(checks.values()):
         return "confirmed", result, None, EXIT_OK
@@ -714,7 +689,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; that slot
         return EXIT_ERROR if exc.code else EXIT_OK  # means "decided negative" here
     started = time.monotonic()
-    timings: dict[str, float] = {}
     verdict, result, witness, code = "error", {}, None, EXIT_ERROR
     digest = None
     try:
@@ -723,21 +697,20 @@ def main(argv=None) -> int:
         budget = _budget_from(args)
         doc = None if where is None else _decode(payload, where)
         verdict, result, witness, code = \
-            _HANDLERS[args.command](args, doc, budget, timings)
+            _HANDLERS[args.command](args, doc, budget)
     except (CliError, ValueError) as exc:
         # ValueError covers the library's input errors, ParseError and
         # UnitIdealError included
         result = {"error": str(exc)}
     except BudgetExceeded as exc:
         result = {"error": str(exc), "budget_exceeded": True}
-    timings["total_seconds"] = round(time.monotonic() - started, 3)
     report = {
         "command": args.command,
         "input_digest": digest,
         "verdict": verdict,
         "result": result,
         "witness": witness,
-        "timings": timings,
+        "timings": {"total_seconds": round(time.monotonic() - started, 3)},
     }
     try:
         _emit(report, args.format)

@@ -30,9 +30,11 @@ each element's representation is the tail of its own term list, kept by
 the same integer arithmetic. That yields membership cofactors, and
 syzygies as the tag parts of the S-vectors that the tracked run reduces
 to zero (Schreyer; Moller-Mora); so a tracked run keeps the coprime-lead
-(Koszul) pairs, which an untracked run of rank 1 skips. Tracked runs are
-not cached: syzygies read the relations of the run itself, and membership
-cofactors reduce their own tagged basis. Minimal generators
+(Koszul) pairs, which an untracked run of rank 1 skips. Membership
+cofactors need the tags but no relations: their run carries the tags,
+keeps no relations and skips those pairs. Neither run is cached:
+syzygies read the relations of the run itself, and membership cofactors
+reduce their own tagged basis. Minimal generators
 of ideals and graded modules come from one incremental completion per
 call, truncated at the degree of the candidate under test. A resolution
 passes from one level to the next as primitive engine vectors, not
@@ -586,7 +588,8 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
     degree of its lift to the lcm, reduces the S-vector, and appends a
     remainder with a term below the tags, with its sugar; on a tracked
     basis, a remainder with only tags left is a relation among the inputs
-    and joins basis.relations. With upto set, the loop stops before the
+    and joins basis.relations, and a run of tagged inputs that keeps no
+    relations drops it. With upto set, the loop stops before the
     first pair whose sugar exceeds it; for elements whose sugar is their
     degree, the basis is then complete through degree upto. The ranks sit
     on a heap, each pushed when its pair is made; a pair update only drops
@@ -620,7 +623,7 @@ def _complete(basis: _Basis, pairs: set, clock: _Clock, upto=None) -> set:
             for k in range(t):
                 if (k, t) in pairs:
                     heappush(heap, pair_rank((k, t)))
-        elif r:  # only tags remain, so the basis is tracked
+        elif r and basis.relations is not None:  # only tags remain
             basis.relations.append(r)
     return pairs
 
@@ -715,12 +718,15 @@ def member(p: Polynomial, I: IdealBasis, budget: Budget | None = None) -> bool:
 def member_with_cofactors(p: Polynomial, I: IdealBasis,
                           budget: Budget | None = None):
     """Cofactors c with p = sum c_i * gen_i, or None when p is not in I;
-    from a tracked reduced basis of I's generators, built for this call."""
+    from a reduced basis of I's tagged generators, built for this call. The
+    run needs the tags but keeps no relations, so it skips the coprime-lead
+    pairs as an untracked run does."""
     if p.ring != I.ring:
         raise ValueError("mismatched rings")
     clock = _basis_clock(I, budget)
-    basis = _reduce_basis(_run_columns(I, clock, True), clock)
-    enc = basis.enc
+    enc = _Encoding(I.ring)
+    tagged = _tagged(_vecs_from_columns(I.columns, enc), 1, enc)
+    basis = _reduce_basis(_run([(v, 1) for v in tagged], 1, enc, clock, False), clock)
     ((v, scale),) = _vecs_from_columns([(p,)], enc)
     r, sigma, _s = basis.nf(v, clock)
     if not basis.is_zero(r):

@@ -87,10 +87,14 @@ class PolyMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "PolyMatrix":
+        """The transpose, graded by the dual shifts: entry (j, i) keeps its
+        degree b_j - a_i as -a_i - (-b_j)."""
+        def dual(shifts):
+            return None if shifts is None else tuple(-d for d in shifts)
         return PolyMatrix(self.ring,
                           [self.column(j) for j in range(self.cols)],
-                          row_shifts=self.col_shifts,
-                          col_shifts=self.row_shifts)
+                          row_shifts=dual(self.col_shifts),
+                          col_shifts=dual(self.row_shifts))
 
     def submatrix(self, rows, cols) -> "PolyMatrix":
         rows, cols = sorted(rows), sorted(cols)

@@ -125,8 +125,9 @@ class PresentationReport:
     cofactor_unit is the u with C = u * g * h^T for the cofactor matrix C,
     and height_J the height of the ideal of the h components, each None
     until the test reaches it. shifts is the pair (a, b) of row and column
-    shifts that grade M, M's own or else derived from g (see _grading),
-    once g is known; None when no shifts grade M or the rank is not n-1.
+    shifts that grade M with a_i = deg g_i, M's own translated or else
+    derived from g (see _grading), once g is known; None when no shifts
+    grade M or the rank is not n-1.
     build_resolution reads its shifts from here.
     """
 
@@ -276,14 +277,18 @@ def _constant_unit(M: PolyMatrix, g, h, shifts, point, pivots, kernel):
 
 
 def _grading(M: PolyMatrix, g):
-    """The shifts (a, b) that grade M: M's own when it has both, or else
-    a_i = deg g_i and b_j the vector_degree of column j over a. A
-    ValueError, naming a grading inconsistency or an underdetermined
-    grading, says why there are none."""
+    """The shifts (a, b) that grade M with a_i = deg g_i for every nonzero
+    g_i: M's own when it has both, translated by the one constant c that
+    makes it so (g is homogeneous in M's grading, so deg g_i - a_i is the
+    same for all i), or else a_i = deg g_i and b_j the vector_degree of
+    column j over a. A ValueError, naming a grading inconsistency or an
+    underdetermined grading, says why there are none."""
     if M.row_shifts is not None and M.col_shifts is not None:
         if not check_graded(M):
             raise ValueError("grading inconsistency: the shifts do not grade the matrix")
-        return M.row_shifts, M.col_shifts
+        c = vector_degree(g, [-d for d in M.row_shifts])
+        return (tuple(d + c for d in M.row_shifts),
+                tuple(d + c for d in M.col_shifts))
     a = tuple(vector_degree((p,), (0,)) for p in g)
     if None in a:
         raise ValueError("grading underdetermined: zero component of g and no shifts")
@@ -376,8 +381,6 @@ def _zeta_report(M: PolyMatrix, budget: Budget | None) -> ZetaReport:
         if h[j].is_zero():
             continue
         others = [(k, h[k]) for k in range(n) if k != j and not h[k].is_zero()]
-        if not others:
-            continue
         cof = member_with_cofactors(
             h[j], IdealBasis([p for _k, p in others], ring=ring), budget=budget)
         if cof is None:

@@ -16,7 +16,6 @@ from pathlib import Path
 from presmat import (
     BettiSequence,
     Budget,
-    BudgetExceeded,
     IdealBasis,
     PolyMatrix,
     RingContext,
@@ -150,39 +149,28 @@ def test_criterion_4_even_uniform_rejection():
     _report(4, failures, "%.3fs" % elapsed)
 
 
-def test_criterion_5_quintic_height_and_stretch():
+def test_criterion_5_quintic_height_and_betti():
+    # the closing remark, checked as the CLI checks it: height and Betti
+    # numbers under the default budget, a BudgetExceeded failing the test
     doc = json.loads(resources.files("presmat")
                      .joinpath("fixtures/closing-remark.json").read_text())
     ring = RingContext(tuple(doc["ring"]["vars"]))
     I = IdealBasis([parse(s, ring) for s in doc["ideal"]], ring=ring)
-    budgets = doc["budgets"]
     failures = []
     start = time.perf_counter()
-    h = height(I, budget=Budget(seconds=budgets["required_seconds"]))
-    height_elapsed = time.perf_counter() - start
+    h = height(I, budget=Budget())
     if h != doc["expect"]["height"]:
         failures.append("height came out as %d" % h)
-    if height_elapsed >= budgets["required_seconds"]:
-        failures.append("height took %.0fs, limit %ds"
-                        % (height_elapsed, budgets["required_seconds"]))
-    # the full resolution is a stretch goal: running out of budget is
-    # reported in the verdict line, never silently passed
     want = (tuple(doc["expect"]["betti"]["a"]),
             tuple(sorted(doc["expect"]["betti"]["b"], reverse=True)),
             doc["expect"]["betti"]["s"])
-    start = time.perf_counter()
-    try:
-        res = minimal_free_resolution(
-            I, max_length=3, budget=Budget(seconds=budgets["stretch_seconds"]))
-        stretch_elapsed = time.perf_counter() - start
-        got = res.betti()
-        if got != want:
-            failures.append("stretch resolved to %r" % (got,))
-        stretch_note = "stretch completed %.2fs" % stretch_elapsed
-    except BudgetExceeded:
-        stretch_note = "stretch BUDGET EXCEEDED after %.0fs" % (
-            time.perf_counter() - start)
-    _report(5, failures, "height %.2fs, %s" % (height_elapsed, stretch_note))
+    got = minimal_free_resolution(I, max_length=3, budget=Budget()).betti()
+    if got != want:
+        failures.append("resolved to %r" % (got,))
+    elapsed = time.perf_counter() - start
+    if elapsed >= 60.0:
+        failures.append("took %.0fs, limit 60s" % elapsed)
+    _report(5, failures, "%.2fs" % elapsed)
 
 
 def _uniform_construction_cases():

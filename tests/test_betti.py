@@ -199,6 +199,25 @@ def test_classify_dispatches_reduction():
     assert classify(seq([2, 2, 2, 3], [4, 3, 3, 3], 4)).status == ESSENTIAL
 
 
+def test_classify_names_an_inconsistent_shift():
+    v = classify(seq([2, 2, 2, 2], [3, 3, 3, 3], 5))
+    assert v.status == NOT_ESSENTIAL
+    assert v.witness == {"rule": "consistency", "violated": "s = sum(b) - sum(a)",
+                         "s": 5, "expected": 4}
+
+
+def test_classify_decides_a_homogeneous_residue():
+    # one reduction leaves (2,2,2,2; 3,3,3,3; 4), which the homogeneous
+    # rule decides
+    t = seq([3, 3, 3, 3, 4], [5, 4, 4, 4, 4], 5)
+    residue, total, verdict = classify_gaeta_reduce(t)
+    assert (residue, total) == (seq([2, 2, 2, 2], [3, 3, 3, 3], 4), 1)
+    v = classify(t)
+    assert v.status == ESSENTIAL == verdict.status
+    assert v.witness == {"rule": "homogeneous", "n": 4, "a": 2, "b": 3, "s": 4,
+                         "s_minus_b": 1}
+
+
 def test_classify_gaeta_residue_without_rule_stays_open():
     # consistent, positive, no reduction spot, inhomogeneous, n > 3
     t = seq([1, 2, 2, 2], [3, 3, 3, 3], 5)

@@ -88,6 +88,30 @@ def test_resolve_matrix_and_ideal(tmp_path, capsys):
     assert report["result"]["betti"] == {"a": [1, 1, 1], "b": [2, 2, 2], "s": 3}
 
 
+def test_resolve_ideal_with_no_betti_sequence(tmp_path, capsys):
+    # a resolution longer than 3, and that of the zero ideal, have shifts
+    # but no (a; b; s) sequence
+    for ideal, shifts in ((["x^2", "y^2", "z^2", "x*y*z"],
+                           [[2, 2, 2, 3], [4, 4, 4, 4, 4, 4], [5, 5, 5]]),
+                          (["0"], [])):
+        path = write(tmp_path, "i.json", {"ring": {"vars": ["x", "y", "z"]},
+                                          "ideal": ideal})
+        code, report = invoke(capsys, "resolve", path)
+        assert (code, report["verdict"]) == (EXIT_OK, "resolved")
+        assert report["result"] == {"betti": None, "minimal": True, "shifts": shifts}
+
+
+def test_resolve_and_zeta_refuse_a_full_rank_matrix(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {
+        "ring": {"vars": ["x", "y", "z"]},
+        "matrix": [["x", "0", "0"], ["0", "y", "0"], ["0", "0", "z"]]})
+    for command in ("resolve", "zeta"):
+        code, report = invoke(capsys, command, path)
+        assert (code, report["verdict"]) == (EXIT_NEGATIVE, "not_presentation")
+        assert report["witness"] == {"failure_reason": "rank_not_n_minus_1"}
+        assert report["result"]["gamma"] is None
+
+
 def test_zeta_command(tmp_path, capsys):
     path = write(tmp_path, "m.json", SQUARE4)
     code, report = invoke(capsys, "zeta", path)
@@ -188,6 +212,21 @@ def test_construct_product(tmp_path, capsys):
     assert sorted(report["result"]["ideal"]) == ["x*v*w", "y*u*w", "z*u*v"]
     assert report["result"]["predicted"] == {"a": [3, 3, 3],
                                              "b": [5, 5, 5], "s": 6}
+
+
+def test_construct_product_with_a_nonconstant_unit(tmp_path, capsys):
+    # cofactors (u, u, v) share the factor u, so the cofactor matrix is
+    # u * g * h^T only for the unit u, which is not constant
+    path = write(tmp_path, "c.json", {
+        "construct": "product",
+        "ring": {"vars": ["x", "y", "z", "u", "v"]},
+        "regular_triple": ["x", "y", "z"],
+        "cofactors": ["u", "u", "v"]})
+    code, report = invoke(capsys, "construct", path)
+    assert (code, report["verdict"]) == (EXIT_NEGATIVE, "not_presentation")
+    assert report["witness"] == {"failure_reason": "cofactor_unit_not_constant"}
+    assert report["result"]["ideal"] == ["x*u*v", "y*u*v", "z*u^2"]
+    assert report["result"]["is_presentation"] is False
 
 
 def test_construct_lift_and_star(tmp_path, capsys):
@@ -301,15 +340,52 @@ def test_verify_digests_the_fixture_document_that_ran(tmp_path, capsys):
     assert digests["same"] != digests["wrong"]
 
 
-def test_verify_closing_remark_reports_stretch(capsys):
+def test_verify_closing_remark_checks_height_and_betti(capsys):
+    # an ideal-resolution fixture that also expects a height: both checks
+    # run under the command's one budget, and the report times the command
     code, report = invoke(capsys, "verify-paper-example", "closing-remark")
-    assert code == EXIT_OK
+    assert (code, report["verdict"]) == (EXIT_OK, "confirmed")
+    result = report["result"]
+    assert result["checks"] == {"height": True, "betti": True}
+    assert result["height"] == 2
+    assert result["betti"] == {"a": [5, 5, 5, 5], "b": [8, 8, 8, 8], "s": 12}
+    assert list(report["timings"]) == ["total_seconds"]
+    # a fixture that expects no height gets no height check
+    code, report = invoke(capsys, "verify-paper-example", "cyclic-cubics")
+    assert list(report["result"]["checks"]) == ["betti"]
+    assert "height" not in report["result"]
+
+
+def test_verify_closing_remark_that_runs_out_has_no_verdict(capsys, monkeypatch):
+    # a resolution that runs out ends the command as any step does: exit 1
+    # and budget_exceeded, never a verdict on the checks that did run
+    def exhausted(I, budget=None):
+        raise presmat.BudgetExceeded("syzygies: time budget exceeded")
+
+    monkeypatch.setattr(cli, "minimal_free_resolution", exhausted)
+    code, report = invoke(capsys, "verify-paper-example", "closing-remark")
+    assert (code, report["verdict"]) == (EXIT_ERROR, "error")
+    assert report["result"] == {"error": "syzygies: time budget exceeded",
+                                "budget_exceeded": True}
+
+
+def test_fixture_with_a_wrong_height_is_contradicted(tmp_path, capsys):
+    expect = packaged_fixture("closing-remark")["expect"]
+    folder = fixtures_dir(tmp_path, "closing-remark", expect=dict(expect, height=3))
+    code, report = invoke(capsys, "verify-paper-example", "closing-remark",
+                          "--fixtures-dir", folder)
+    assert (code, report["verdict"]) == (EXIT_NEGATIVE, "contradicted")
+    assert report["witness"] == {"failed_checks": ["height"]}
     assert report["result"]["height"] == 2
-    # the stretch resolution takes a fraction of a second against its budget
-    stretch = report["result"]["stretch"]
-    assert stretch["outcome"] == "completed"
-    assert stretch["betti"] == {"a": [5, 5, 5, 5], "b": [8, 8, 8, 8], "s": 12}
-    assert "resolution_seconds" in report["timings"]
+
+
+def test_fixture_budgets_are_not_read(tmp_path, capsys):
+    # a fixture carries no budget of its own: a "budgets" field, even a
+    # malformed one, is not read
+    folder = fixtures_dir(tmp_path, "closing-remark", budgets=[1])
+    code, report = invoke(capsys, "verify-paper-example", "closing-remark",
+                          "--fixtures-dir", folder)
+    assert (code, report["verdict"]) == (EXIT_OK, "confirmed")
 
 
 def test_input_errors_exit_one(tmp_path, capsys):
@@ -378,11 +454,15 @@ def test_construct_kind_must_be_a_name(tmp_path, capsys):
     assert report["result"]["error"].startswith('"construct" must be one of')
 
 
+def packaged_fixture(name):
+    return json.loads(resources.files("presmat").joinpath("fixtures/%s.json" % name)
+                      .read_text(encoding="utf-8"))
+
+
 def fixtures_dir(tmp_path, name, **fields):
     """A fixtures directory holding the packaged fixture of the named example
     with fields set, or removed where the value is None."""
-    doc = json.loads(resources.files("presmat").joinpath("fixtures/%s.json" % name)
-                     .read_text(encoding="utf-8"))
+    doc = packaged_fixture(name)
     for key, value in fields.items():
         if value is None:
             del doc[key]

@@ -205,6 +205,49 @@ def test_cofactors_reject_nonmember():
     assert member_with_cofactors(parse("x*y", XYZ), I) is None
 
 
+def tracked_cofactors(p, I):
+    """Cofactors of p from a tracked reduced basis of I's generators, which
+    keeps the coprime-lead pairs for relations that cofactors never read;
+    the reduction of p is charged, as member_with_cofactors charges it."""
+    basis = gb(IdealBasis(I.generators, ring=I.ring), track=True)
+    enc = basis.enc
+    ((v, scale),) = engine._vecs_from_columns([(p,)], enc)
+    r, sigma, _sugar = basis.nf(v, engine._Clock(None, "test"))
+    if not basis.is_zero(r):
+        return None
+    return list(engine._terms_to_polys(engine._tag_part(r, 1, enc),
+                                       len(I.generators), enc, -sigma * scale))
+
+
+def test_cofactors_match_the_tracked_route_with_less_work(monkeypatch):
+    # the cofactor run carries the tags but keeps no relations, so it may
+    # skip the coprime-lead pairs: the same cofactors, for less charged work
+    charged = []
+    tick = engine._Clock.tick
+
+    def counting_tick(self, amount):
+        charged.append(amount)
+        return tick(self, amount)
+
+    monkeypatch.setattr(engine._Clock, "tick", counting_tick)
+    rng = random.Random(5)
+    works = []
+    for _ in range(60):
+        gens = [random_poly(rng, XYZT, max_terms=3, max_deg=2, allow_zero=False)
+                for _ in range(rng.randint(2, 4))]
+        mults = [random_poly(rng, XYZT, max_terms=2, max_deg=2) for _ in gens]
+        p = combine(mults, gens, XYZT)
+        del charged[:]
+        cof = member_with_cofactors(p, IdealBasis(gens, ring=XYZT))
+        work = sum(charged)
+        del charged[:]
+        assert cof == tracked_cofactors(p, IdealBasis(gens, ring=XYZT))
+        assert combine(cof, gens, XYZT) == p
+        works.append((work, sum(charged)))
+    assert all(new <= tracked for new, tracked in works)
+    assert sum(new < tracked for new, tracked in works) >= 50
+
+
 # -- dimension, height, hilbert -----------------------------------------------
 
 

@@ -19,8 +19,10 @@ from presmat import (
     PolyMatrix,
     RingContext,
     build_resolution,
+    check_graded,
     check_presentation,
     decompose,
+    degree_matrix,
     gamma,
     gcd,
     height,
@@ -1090,20 +1092,38 @@ def report_texts(rep):
 
 def test_caller_shifts_that_grade_the_matrix_give_the_same_report(minor_runs):
     # the caller's shifts stand in for the derived ones; any shifts that
-    # grade M, translates of the derived ones too, read u off the degrees
+    # grade M, translates of the derived ones too, read u off the degrees,
+    # and the report keeps them translated so that a_i = deg g_i
     for M, a, b in ((square4(), (2, 2, 2, 2), (3, 3, 3, 3)),
                     (mixed_degree_koszul(), (3, 4, 5), (8, 7, 6))):
         plain = build_resolution(M)
         for shift in (0, -2):
             rows, cols = tuple(d + shift for d in a), tuple(d + shift for d in b)
             graded = PolyMatrix(M.ring, M.entries, row_shifts=rows, col_shifts=cols)
-            assert report_texts(check_presentation(graded)) == report_texts(
-                check_presentation(M))
-            if shift == 0:
-                res = build_resolution(graded)
-                assert res.shifts == plain.shifts == (a, b, (sum(b) - sum(a),))
-                assert [m.entries for m in res.maps] == [m.entries for m in plain.maps]
+            rep = check_presentation(graded)
+            assert report_texts(rep) == report_texts(check_presentation(M))
+            assert rep.shifts == (a, b)
+            res = build_resolution(graded)
+            assert res.shifts == plain.shifts == (a, b, (sum(b) - sum(a),))
+            assert [m.entries for m in res.maps] == [m.entries for m in plain.maps]
     assert minor_runs == []
+
+
+def test_the_transpose_of_a_graded_map_is_graded():
+    # the middle map of a resolution, transposed, carries the dual shifts;
+    # they grade it, and it resolves as its entries with no shifts do
+    M = build_resolution(homogeneous_matrix(3, 2, 4)).maps[1]
+    T = M.transpose()
+    assert (T.row_shifts, T.col_shifts) == ((-4, -4, -4), (-2, -2, -2))
+    assert check_graded(T)
+    assert degree_matrix(T).entries == ((2, 2, 2),) * 3
+    plain = build_resolution(PolyMatrix(T.ring, T.entries))
+    res = build_resolution(T)
+    assert res.shifts == plain.shifts == ((2, 2, 2), (4, 4, 4), (6,))
+    assert [m.entries for m in res.maps] == [m.entries for m in plain.maps]
+    assert T.transpose() == M
+    assert (T.transpose().row_shifts, T.transpose().col_shifts) == \
+        (M.row_shifts, M.col_shifts)
 
 
 def test_caller_shifts_that_do_not_grade_the_matrix(minor_runs):
